@@ -446,21 +446,18 @@ double FlowCacheZipfPerPktNs(double s) {
          1000.0;
 }
 
-/// The burst-probe vs scalar-probe pair (micro_flow_cache_burst_hit /
-/// _scalar): the same zipf(0.9) router workload over the FULL 16-bit tag
-/// space against a 65536-slot verdict cache, so the touched slot set
-/// (~8 MB) dwarfs the cache hierarchy and nearly every probe is a cold
-/// HIT — a dependent memory miss on the scalar path.  BurstProbe hashes
-/// the whole lane set first and prefetches kBurstPrefetchAhead slots
-/// ahead, overlapping those misses; the scalar sibling eats them one at
-/// a time.  The verdict set is pre-filled across every tag before either
-/// measurement so the pair compares pure probe cost, not fill cost.
-/// Between timed calls an LLC-sized write sweep evicts the slot array
-/// (server parts carry LLCs past the 8 MB footprint — 260 MB on some
-/// cloud hosts — which would otherwise leave the slots warm and the
-/// pair's gap at the mercy of neighbour traffic); every measured call
-/// therefore starts DRAM-cold on any host.
-/// tools/bench_diff.py gates burst <= scalar / 1.3 within the same run.
+/// The cold burst-probe row (micro_flow_cache_burst_hit): a zipf(0.9)
+/// router workload over the FULL 16-bit tag space against a 65536-slot
+/// verdict cache, so the touched slot set (~8 MB) dwarfs the cache
+/// hierarchy and nearly every probe is a cold HIT — a dependent memory
+/// miss that BurstProbe overlaps by hashing the whole lane set first and
+/// prefetching kBurstPrefetchAhead slots ahead.  The verdict set is
+/// pre-filled across every tag before measuring, so the row is pure
+/// probe cost, not fill cost.  Between timed calls an LLC-sized write
+/// sweep evicts the slot array (server parts carry LLCs past the 8 MB
+/// footprint — 260 MB on some cloud hosts — which would otherwise leave
+/// the slots warm); every measured call therefore starts DRAM-cold on
+/// any host.
 Pipeline& ColdRouterPipeline() {
   static Pipeline pipe;
   static bool done = [] {
@@ -504,9 +501,8 @@ module router {
   return pipe;
 }
 
-double FlowCacheColdZipfPerPktNs(bool burst) {
+double FlowCacheColdZipfPerPktNs() {
   Pipeline& pipe = ColdRouterPipeline();
-  pipe.SetBurstProbeEnabled(burst);
   constexpr std::size_t kCalls = 40;
   constexpr std::size_t kCallWarmup = 4;
   constexpr std::size_t kTagSpace = 65536;
@@ -517,8 +513,7 @@ double FlowCacheColdZipfPerPktNs(bool burst) {
     sum += 1.0 / std::pow(static_cast<double>(k), 0.9);
     cdf.push_back(sum);
   }
-  // Same seed for both siblings: identical draw sequence, identical
-  // slot-touch pattern — the toggle is the only difference.
+  // Fixed seed: the same draw sequence and slot-touch pattern every run.
   Rng rng(0xC01DCA5E);
   std::vector<std::vector<Packet>> pool;
   pool.reserve(kCalls + kCallWarmup);
@@ -552,7 +547,6 @@ double FlowCacheColdZipfPerPktNs(bool burst) {
       best_ns = std::min(
           best_ns, std::chrono::duration<double, std::nano>(t1 - t0).count());
   }
-  pipe.SetBurstProbeEnabled(true);
   return best_ns / 1000.0;
 }
 
@@ -726,27 +720,15 @@ void EmitMicroJson() {
       // miss/fill path.
       {"micro_flow_cache_zipf_s0.9", FlowCacheZipfPerPktNs(0.9)},
       {"micro_flow_cache_zipf_s1.1", FlowCacheZipfPerPktNs(1.1)},
-      // Burst vs scalar probing on the cold 16-bit tag space (see
-      // FlowCacheColdZipfPerPktNs).  Burst measured FIRST: the scalar
-      // sibling then runs the identical draw sequence against
-      // possibly-warmer slots, so the gated ratio is conservative.
-      {"micro_flow_cache_burst_hit", FlowCacheColdZipfPerPktNs(true)},
-      {"micro_flow_cache_burst_hit_scalar", FlowCacheColdZipfPerPktNs(false)},
+      // Burst probing on the cold 16-bit tag space (see
+      // FlowCacheColdZipfPerPktNs).
+      {"micro_flow_cache_burst_hit", FlowCacheColdZipfPerPktNs()},
       // --- Specialized-kernel rows, one per dispatched shape class ------------
-      // Stateless multi-slot probe shape (calc), kernel vs interpreted
-      // plan on the same pipeline — the per-shape kernel win.
+      // Stateless multi-slot probe shape (calc).
       {"micro_kernel_multislot",
        RecycledBatchPerPktNs(LoadedCalcPipeline(),
                              std::vector<Packet>(1000, CalcRequest()), 200,
                              25)},
-      {"micro_kernel_multislot_interp", [&] {
-         Pipeline& kp = LoadedCalcPipeline();
-         kp.SetKernelsEnabled(false);
-         const double ns = RecycledBatchPerPktNs(
-             kp, std::vector<Packet>(1000, CalcRequest()), 200, 25);
-         kp.SetKernelsEnabled(true);
-         return ns;
-       }()},
       // Stateful sequencer shape (netchain): the kernel carries the
       // stateful segment through each step.
       {"micro_kernel_stateful",

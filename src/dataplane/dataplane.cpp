@@ -45,7 +45,6 @@ struct ScatterScratch {
     u32 count = 0;   // packets in this group
     u32 base = 0;    // start offset inside the shard's sub-batch
     u32 cursor = 0;  // next position during placement
-    bool stealable = false;  // tenant's plan is provably stateless
   };
   std::vector<Group> groups;        // first-appearance order
   std::vector<u32> group_of;        // packet index -> group index
@@ -53,7 +52,6 @@ struct ScatterScratch {
   std::vector<u32> stamp;           // key -> generation of `slot`
   u32 gen = 0;
   std::vector<u32> shard_total;     // shard -> sub-batch size
-  std::vector<u8> shard_stealable;  // shard -> all groups stealable
   std::vector<ingress::ShardWork> works;
   std::vector<ingress::StreamWork> stream_works;
 };
@@ -112,7 +110,6 @@ Dataplane::Dataplane(DataplaneConfig cfg)
   for (auto& s : steering_) s.store(kNoSteering, std::memory_order_relaxed);
   tenant_forwarded_.resize(ModuleId::kMax + 1);
   tenant_dropped_.resize(ModuleId::kMax + 1);
-  tenant_stealable_ = std::vector<std::atomic<u8>>(ModuleId::kMax + 1);
   ingress_depth_.store(cfg_.ingress_queue_depth, std::memory_order_release);
 
   for (std::size_t s = 0; s < cfg_.num_shards; ++s) AddShardLocked();
@@ -131,7 +128,6 @@ void Dataplane::AddShardLocked() {
   const std::size_t s = shards_.size();
   Pipeline& replica = shards_.emplace_back(cfg_.timing,
                                            cfg_.reconfig_on_data_path);
-  replica.SetBurstProbeEnabled(cfg_.burst_probe);
   // A replica born after traffic started must carry the same
   // configuration as its siblings: replay the log (last write per
   // resource address).
@@ -139,8 +135,6 @@ void Dataplane::AddShardLocked() {
   shard_ctx_.push_back(
       std::make_unique<ShardContext>(cfg_.ingress_queue_depth));
   telemetry_.EnsureShards(s + 1);
-  if (s < kStealTableSize)
-    steal_table_[s].store(shard_ctx_.back().get(), std::memory_order_release);
   StartWorkerLocked(s);
 }
 
@@ -148,7 +142,6 @@ void Dataplane::StartWorkerLocked(std::size_t s) {
   if (!cfg_.worker_threads) return;
   ShardContext* ctx = shard_ctx_[s].get();
   ctx->stop.store(false, std::memory_order_seq_cst);
-  ctx->steal_hint.store(0, std::memory_order_relaxed);
   ctx->worker = std::thread([this, ctx, s] { WorkerLoop(ctx, s); });
   workers_running_.fetch_add(1, std::memory_order_acq_rel);
 }
@@ -262,8 +255,7 @@ void Dataplane::ScatterStream(ArenaPacket* const* pkts, std::size_t n,
           key == kNoVlanKey
               ? 0
               : ShardForLocked(ModuleId(static_cast<u16>(key)), shard_count);
-      sc.groups.push_back(
-          ScatterScratch::Group{static_cast<u32>(s), 0, 0, 0, false});
+      sc.groups.push_back(ScatterScratch::Group{static_cast<u32>(s), 0, 0, 0});
     }
     const u32 g = sc.slot[key];
     ++sc.groups[g].count;
@@ -492,12 +484,6 @@ void Dataplane::ScatterAndDispatch(
     std::fill(sc.stamp.begin(), sc.stamp.end(), 0u);
     sc.gen = 1;
   }
-  // A sub-batch is stealable only when every tenant in it has a
-  // provably stateless plan (stolen work runs on the thief's replica —
-  // identical configuration, so stateless output cannot differ) and the
-  // filter's buffer-tag round-robin is order-insensitive (one deparser
-  // means every tag is 0).
-  const bool steal_ok = StealActive() && !inline_run && shard_count > 1;
   sc.groups.clear();
   sc.group_of.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -509,10 +495,7 @@ void Dataplane::ScatterAndDispatch(
           key == kNoVlanKey
               ? 0
               : ShardForLocked(ModuleId(static_cast<u16>(key)), shard_count);
-      const bool st = steal_ok && key != kNoVlanKey &&
-                      TenantStealable(static_cast<u16>(key));
-      sc.groups.push_back(
-          ScatterScratch::Group{static_cast<u32>(s), 0, 0, 0, st});
+      sc.groups.push_back(ScatterScratch::Group{static_cast<u32>(s), 0, 0, 0});
     }
     const u32 g = sc.slot[key];
     ++sc.groups[g].count;
@@ -522,12 +505,10 @@ void Dataplane::ScatterAndDispatch(
   // Group base offsets: a running prefix per shard, in first-appearance
   // order, so each shard's sub-batch is a concatenation of its groups.
   sc.shard_total.assign(shard_count, 0);
-  sc.shard_stealable.assign(shard_count, 1);
   for (ScatterScratch::Group& g : sc.groups) {
     g.base = sc.shard_total[g.shard];
     g.cursor = 0;
     sc.shard_total[g.shard] += g.count;
-    if (!g.stealable) sc.shard_stealable[g.shard] = 0;
   }
 
   // Pass 2 — place the packets.  The per-shard vectors come from the
@@ -561,11 +542,6 @@ void Dataplane::ScatterAndDispatch(
     if (sc.shard_total[s] == 0) continue;
     sc.works[s].ticket = state;
     sc.works[s].ingress_tsc = ticket.ingress_tsc;
-    sc.works[s].stealable = steal_ok && sc.shard_stealable[s] != 0 &&
-                            sc.shard_total[s] >= cfg_.steal_min_packets;
-    const bool stealable = sc.works[s].stealable;
-    // Dispatched-but-unfinished accounting for DrainLocked: stolen work
-    // is invisible to the per-shard busy scan, never to this counter.
     inflight_.fetch_add(1, std::memory_order_acq_rel);
     if (inline_run) {
       ExecuteWork(s, sc.works[s]);
@@ -585,23 +561,6 @@ void Dataplane::ScatterAndDispatch(
       { std::lock_guard<std::mutex> g(ctx.m); }
       ctx.cv.notify_one();
     }
-    if (stealable && ctx.queue.approx_size() > 1) {
-      // The target shard has a backlog of stealable work: wake one
-      // parked neighbour to come drain it.  The hint is part of the
-      // neighbour's park predicate, so the wakeup cannot be lost.
-      const std::size_t scan =
-          std::min<std::size_t>(shard_count, kStealTableSize);
-      for (std::size_t off = 1; off < scan; ++off) {
-        ShardContext* peer =
-            steal_table_[(s + off) % scan].load(std::memory_order_acquire);
-        if (peer == nullptr || peer == &ctx) continue;
-        if (!peer->parked.load(std::memory_order_seq_cst)) continue;
-        peer->steal_hint.store(1, std::memory_order_seq_cst);
-        { std::lock_guard<std::mutex> g(peer->m); }
-        peer->cv.notify_one();
-        break;
-      }
-    }
   }
   // The submitter's own +1 reference is released by Submit, outside the
   // engine gate.
@@ -615,35 +574,17 @@ void Dataplane::WorkerLoop(ShardContext* ctx, std::size_t s) {
     // (empty ring && !busy) check never declares an in-flight sub-batch
     // quiescent.
     ctx->busy.store(true, std::memory_order_seq_cst);
-    bool popped;
-    if (StealActive()) {
-      // The pop mutex makes "single consumer" a role rather than a
-      // thread: thieves try_lock the same mutex before TryPopIf.
-      std::lock_guard<std::mutex> pl(ctx->pop_m);
-      popped = ctx->queue.TryPop(work);
-    } else {
-      // No thief can exist under this configuration: the worker is the
-      // ring's only consumer and pops lock-free.
-      popped = ctx->queue.TryPop(work);
-    }
-    if (popped) {
+    if (ctx->queue.TryPop(work)) {
       ExecuteWork(s, work);
       work = ingress::ShardWork{};
       ctx->busy.store(false, std::memory_order_seq_cst);
       continue;
     }
     // Run-to-completion streaming: dequeue a burst, execute it straight
-    // through the replica, emit to the egress queue.  The streaming
-    // ring has exactly one consumer (this worker), so no pop mutex.
+    // through the replica, emit to the egress queue.
     if (ctx->stream_queue.TryPop(swork)) {
       ExecuteStreamWork(s, swork);
       swork = ingress::StreamWork{};
-      ctx->busy.store(false, std::memory_order_seq_cst);
-      continue;
-    }
-    // Nothing of our own: try to drain a loaded neighbour's stealable
-    // backlog onto this replica before parking.
-    if (StealActive() && TryStealWork(ctx, s)) {
       ctx->busy.store(false, std::memory_order_seq_cst);
       continue;
     }
@@ -653,55 +594,11 @@ void Dataplane::WorkerLoop(ShardContext* ctx, std::size_t s) {
     ctx->parked.store(true, std::memory_order_seq_cst);
     ctx->cv.wait(lk, [&] {
       return ctx->stop.load(std::memory_order_relaxed) ||
-             !ctx->queue.empty() || !ctx->stream_queue.empty() ||
-             ctx->steal_hint.load(std::memory_order_relaxed) != 0;
+             !ctx->queue.empty() || !ctx->stream_queue.empty();
     });
     ctx->parked.store(false, std::memory_order_seq_cst);
-    ctx->steal_hint.store(0, std::memory_order_relaxed);
     if (ctx->stop.load(std::memory_order_relaxed)) return;
   }
-}
-
-bool Dataplane::TryStealWork(ShardContext* self, std::size_t s) {
-  const std::size_t scan = std::min<std::size_t>(
-      num_shards_.load(std::memory_order_acquire), kStealTableSize);
-  for (std::size_t off = 1; off < scan; ++off) {
-    ShardContext* victim =
-        steal_table_[(s + off) % scan].load(std::memory_order_acquire);
-    if (victim == nullptr || victim == self) continue;
-    // Steal only from a backlogged victim.  Whether its worker is
-    // mid-batch or merely scheduled out does not matter: the pop mutex
-    // serializes the ring's consumers either way, and a queued backlog
-    // drains faster with two replicas on it.
-    if (victim->queue.empty()) continue;
-    std::unique_lock<std::mutex> pl(victim->pop_m, std::try_to_lock);
-    if (!pl.owns_lock()) continue;
-    ingress::ShardWork work;
-    if (!victim->queue.TryPopIf(
-            work, [](const ingress::ShardWork& w) { return w.stealable; }))
-      continue;
-    pl.unlock();
-    self->steals.Add(1);
-    // The stolen sub-batch runs on the thief's replica: every tenant in
-    // it is stateless and configuration is replicated, so the output
-    // bytes are identical to a victim-side run.
-    ExecuteWork(s, work);
-    return true;
-  }
-  return false;
-}
-
-bool Dataplane::TenantStealable(u16 vid) {
-  std::atomic<u8>& memo = tenant_stealable_[vid];
-  u8 v = memo.load(std::memory_order_acquire);
-  if (v == 0) {
-    // DescribeRow reads only the (gate-protected) config tables — safe
-    // under the shared gate concurrently with workers.
-    const ModuleExecPlan plan = shards_.front().DescribeRow(ModuleId(vid));
-    v = plan.kernel.stateful ? 2 : 1;
-    memo.store(v, std::memory_order_release);
-  }
-  return v == 1;
 }
 
 void Dataplane::ExecuteWork(std::size_t s, ingress::ShardWork& work) {
@@ -947,9 +844,9 @@ void Dataplane::DrainLocked() const {
            ctx->busy.load(std::memory_order_seq_cst))
       std::this_thread::yield();
   }
-  // A sub-batch popped by a thief — or incremented by a producer that
-  // has not yet pushed — is invisible to the per-shard scan above; the
-  // dispatch-to-completion counter closes both windows.
+  // The dispatch-to-completion counter is the authoritative check: it
+  // is raised before every push and lowered (acq_rel) only after the
+  // work fully executed, so zero means nothing is queued or running.
   while (inflight_.load(std::memory_order_acquire) != 0)
     std::this_thread::yield();
 }
@@ -965,9 +862,6 @@ void Dataplane::BroadcastLocked(const ConfigWrite& write) {
                   static_cast<u32>(write.index);
   config_log_[key] = write;
   writes_broadcast_.fetch_add(1, std::memory_order_release);
-  // Stealability is a property of the (replicated) configuration: any
-  // write may flip a tenant's plan between stateless and stateful.
-  for (auto& t : tenant_stealable_) t.store(0, std::memory_order_relaxed);
 }
 
 void Dataplane::StageWrite(const ConfigWrite& write) {
@@ -1100,14 +994,6 @@ std::size_t Dataplane::ResizeShards(std::size_t new_count) {
         retired_packets_ += shard_ctx_[s]->packets.load();
       }
       for (std::size_t s = new_count; s < old_count; ++s) StopWorkerLocked(s);
-      // Retire the dying contexts instead of destroying them: a thief
-      // may still hold a stale steal_table_ pointer, and a retired
-      // context's drained ring just reads empty.
-      for (std::size_t s = new_count; s < old_count; ++s) {
-        if (s < kStealTableSize)
-          steal_table_[s].store(nullptr, std::memory_order_release);
-        retired_ctx_.push_back(std::move(shard_ctx_[s]));
-      }
       shard_ctx_.resize(new_count);
       while (shards_.size() > new_count) shards_.pop_back();
     }
@@ -1140,13 +1026,12 @@ Dataplane::ShardCounters Dataplane::ShardCountersLocked(std::size_t i) const {
     c.egress_depth = ctx.egress.size();
   }
   c.producer_stalls = ctx.producer_stalls.load();
-  c.steals = ctx.steals.load();
   const FlowCacheStats fc = shards_.at(i).FlowCacheSnapshot();
   c.flow_cache_hits = fc.hits;
   c.flow_cache_misses = fc.misses;
   c.flow_cache_evictions = fc.evictions;
   c.flow_cache_occupancy = fc.occupancy;
-  c.flow_cache_burst_pkts = fc.burst_probe_pkts;
+  c.flow_cache_burst_pkts = fc.burst_pkts;
   c.flow_cache_burst_fallback = fc.burst_fallback_pkts;
   const Pipeline::KernelStats ks = shards_.at(i).KernelSnapshot();
   c.kernel_pkts = ks.pkts;

@@ -101,24 +101,6 @@ struct DataplaneConfig {
   /// batched and the streaming ring; adjustable at runtime via
   /// SetIngressQueueDepth (the controller's adaptive-depth loop).
   std::size_t ingress_queue_depth = 64;
-  /// Idle-shard work stealing on the batched scatter/gather path: a
-  /// worker with nothing in its own rings drains a loaded neighbour's
-  /// oversized sub-batch onto its own replica.  Only sub-batches whose
-  /// every tenant group is provably stateless — and only when the
-  /// filter's buffer-tag assignment is order-insensitive
-  /// (timing.deparsers <= 1) — are marked stealable, so stolen work is
-  /// byte-identical wherever it runs.
-  bool enable_work_stealing = true;
-  /// Sub-batches below this size are never marked stealable (the steal
-  /// handoff costs more than running a small batch in place).
-  std::size_t steal_min_packets = 16;
-  /// Burst-vectorized flow-cache probing on every replica
-  /// (Pipeline::SetBurstProbeEnabled): eligible spans probe the
-  /// flow-verdict cache in gather/probe/replay phases with slot
-  /// prefetch-ahead instead of one dependent load per packet.  Applied
-  /// to replicas created later (ResizeShards) too.  Off = the scalar
-  /// differential reference.
-  bool burst_probe = true;
   /// Telemetry knobs (runtime/telemetry.hpp): latency histograms on the
   /// batched + streaming paths, and 1-in-N sampled packet tracing.
   TelemetryConfig telemetry{};
@@ -355,8 +337,6 @@ class Dataplane {
     /// (one per stalled push, not per retry) — the controller's
     /// adaptive-depth signal.
     u64 producer_stalls = 0;
-    /// Batched sub-batches this worker stole from a loaded neighbour.
-    u64 steals = 0;
   };
   /// Relaxed per-shard view: never drains traffic, but does pin the
   /// shard set against a concurrent resize (see CountersSnapshotRelaxed).
@@ -438,27 +418,15 @@ class Dataplane {
 
     MpscRingQueue<ingress::ShardWork> queue;
     /// Streaming ring: bursts of arena packets run to completion by
-    /// this worker (single consumer — never stolen; the batched ring
-    /// is the stealable one).
+    /// this worker.  Both rings have exactly one consumer, the worker.
     MpscRingQueue<ingress::StreamWork> stream_queue;
 
-    /// Serializes pops of the batched ring between the owning worker
-    /// and thieves (the ring is single-consumer; the mutex makes
-    /// "consumer" a role, not a thread).  The owner takes it
-    /// unconditionally; thieves try_lock and walk away.  Only used when
-    /// stealing is actually possible (see StealActive) — otherwise the
-    /// worker pops lock-free.
-    std::mutex pop_m;
     /// Serializes inline (no-worker-thread) streaming execution on this
     /// shard's replica: producer cores run bursts to completion
     /// themselves under the shared gate, in parallel across shards,
     /// serialized per shard — which is also what keeps per-tenant FIFO
     /// order (a tenant maps to exactly one shard).
     std::mutex stream_m;
-    /// Nonzero = a producer saw a stealable backlog somewhere and woke
-    /// this parked worker to go steal (part of the park predicate, so
-    /// the wakeup is never lost).
-    std::atomic<u32> steal_hint{0};
 
     // Doorbell: the worker parks on `cv` when its ring is empty;
     // producers ring it after a push when `parked` is set.  `busy` is
@@ -481,9 +449,9 @@ class Dataplane {
     // Wall-clock ns spent executing sub-batches (one clock pair per
     // sub-batch, never per packet).
     RelaxedCounter busy_ns;
-    // Streaming / stealing counters (see ShardCounters).
+    // Streaming counters (see ShardCounters).
     RelaxedCounter stream_bursts, stream_pkts, egress_pkts;
-    RelaxedCounter producer_stalls, steals;
+    RelaxedCounter producer_stalls;
 
     // Worker-owned scratch, reused across sub-batches.
     std::vector<PipelineResult> results;
@@ -516,28 +484,12 @@ class Dataplane {
   void StopWorkerLocked(std::size_t s);
   /// Runs one sub-batch on shard `s`, updates counters and completes the
   /// shard's slice of the ticket.  Called by shard workers and by the
-  /// sequential inline path — and, for stealable work, by a thief
-  /// worker with its own shard index (the thief's replica carries
-  /// identical configuration and the work is stateless, so the bytes
-  /// cannot differ).
+  /// sequential inline path.
   void ExecuteWork(std::size_t s, ingress::ShardWork& work);
   /// Runs one streaming burst to completion on shard `s`: process in
   /// place, account, recycle drops to their arenas, push the rest onto
   /// the shard's egress queue.
   void ExecuteStreamWork(std::size_t s, ingress::StreamWork& work);
-  /// Idle-worker steal attempt: scan the steal table for a neighbour
-  /// with a stealable batched backlog, pop its head sub-batch and run
-  /// it on `self`'s replica.  Returns true if work was executed.
-  bool TryStealWork(ShardContext* self, std::size_t s);
-  /// Whether `vid`'s compiled plan is provably stateless (memoized per
-  /// tenant; invalidated on every config broadcast).
-  [[nodiscard]] bool TenantStealable(u16 vid);
-  /// Whether work stealing can ever fire under this configuration.
-  /// When it cannot, workers pop their batched ring lock-free — the
-  /// pop mutex exists solely to let thieves act as a second consumer.
-  [[nodiscard]] bool StealActive() const {
-    return cfg_.enable_work_stealing && cfg_.timing.deparsers <= 1;
-  }
   /// Scatters `ticket.batch` into per-shard work items.  Caller holds the
   /// engine (shared for the async path, exclusive for inline).
   void ScatterAndDispatch(BatchTicket&& ticket,
@@ -591,24 +543,9 @@ class Dataplane {
   std::atomic<std::size_t> ingress_depth_{0};
 
   /// Work items dispatched (pushed to a ring or run inline) but not yet
-  /// fully executed.  DrainLocked waits for zero: a sub-batch popped by
-  /// a thief is invisible to the per-shard (empty && !busy) scan, but
-  /// never to this counter.
+  /// fully executed.  DrainLocked waits for zero after the per-shard
+  /// (empty && !busy) scan.
   std::atomic<u64> inflight_{0};
-
-  /// Fixed-size victim directory for work stealing: stable atomic slots
-  /// so a thief can scan without touching shard_ctx_ (which resizes).
-  /// Shards beyond the table size simply cannot be stolen from.
-  /// Entries are written under the exclusive engine (add/stop/resize).
-  static constexpr std::size_t kStealTableSize = 64;
-  std::array<std::atomic<ShardContext*>, kStealTableSize> steal_table_{};
-  /// ShardContexts retired by a shrink: kept alive until destruction so
-  /// a thief holding a stale steal_table_ pointer dereferences a dead
-  /// — but valid — context (its drained ring just reads empty).
-  std::vector<std::unique_ptr<ShardContext>> retired_ctx_;
-  /// Per-tenant stealability memo: 0 unknown, 1 stealable (stateless
-  /// plan), 2 not.  Reset on every config broadcast.
-  std::vector<std::atomic<u8>> tenant_stealable_;
 
   /// Egress packets carried across a tenant re-homing (migration /
   /// resize): drained by PollEgress before any per-shard queue.

@@ -87,11 +87,6 @@ struct ShardWork {
   std::shared_ptr<TicketState> ticket;
   std::vector<Packet> packets;
   std::vector<std::size_t> indices;
-  /// Set by the scatter when every tenant group in this sub-batch is
-  /// provably stateless (and the filter is order-insensitive), so an
-  /// idle neighbour may execute it on its own replica — the
-  /// work-stealing eligibility bit (see Dataplane::TryStealWork).
-  bool stealable = false;
   /// Copy of the ticket's ingress TSC stamp (the executing shard reads
   /// it without touching the shared ticket state).
   u64 ingress_tsc = 0;

@@ -87,26 +87,6 @@ class MpscRingQueue {
     return true;
   }
 
-  /// Conditional single-consumer pop: pops the head item only when
-  /// `pred(item)` holds; returns false when the ring is empty, the head
-  /// is still being published, or the predicate rejects it.  Same
-  /// consumer-side contract as TryPop — callers that are not the owning
-  /// worker (work stealing) must serialize against it externally (the
-  /// shard's pop mutex).
-  template <typename Pred>
-  bool TryPopIf(T& out, Pred&& pred) {
-    const u64 pos = head_.load(std::memory_order_relaxed);
-    Slot& slot = slots_[pos & mask_];
-    const u64 seq = slot.seq.load(std::memory_order_acquire);
-    if (static_cast<i64>(seq) - static_cast<i64>(pos + 1) != 0) return false;
-    if (!pred(static_cast<const T&>(slot.value))) return false;
-    out = std::move(slot.value);
-    slot.value = T{};
-    slot.seq.store(pos + mask_ + 1, std::memory_order_release);
-    head_.store(pos + 1, std::memory_order_relaxed);
-    return true;
-  }
-
   /// Reinitializes the ring at a new capacity.  Quiescent-only: the
   /// caller guarantees the ring is empty and no producer or consumer is
   /// touching it (the dataplane's adaptive-depth resize runs it under

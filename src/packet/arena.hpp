@@ -3,12 +3,12 @@
 //
 // The batched path copies every packet at least twice (builder -> batch
 // vector -> per-shard sub-batch) and materializes a PipelineResult with
-// an optional<Packet> and an optional<Phv> per packet.  The streaming
-// path replaces all of that with ArenaPacket: a fixed-room,
-// cache-line-aligned buffer owned by a PacketArena free list.  Producers
-// allocate bursts, fill bytes in place, and enqueue raw pointers; the
-// pipeline parses/deparses through in-place views (the templated helpers
-// in pipeline/plan_exec.hpp); consumers read the egress bytes and
+// an optional<Packet> per packet.  The streaming path replaces that with
+// ArenaPacket: a fixed-room, cache-line-aligned buffer owned by a
+// PacketArena free list.  Producers allocate bursts, fill bytes in
+// place, and enqueue raw pointers; the pipeline parses/deparses through
+// in-place views (the templated helpers in pipeline/plan_exec.hpp);
+// consumers read the egress bytes and
 // release the buffers back to their owning arena — one allocation per
 // buffer for the lifetime of the arena, ASAN-clean because the deque
 // owns every byte.
@@ -23,6 +23,10 @@
 // pointer prefetches the packet's header bytes — the classify loop's
 // prefetch-ahead needs no dependent pointer chase (the batched path
 // must first load Packet, then follow its heap ByteBuffer pointer).
+//
+// The data room is a hard limit: a frame longer than kDataRoom is
+// rejected with std::length_error, never clipped — a clipped frame would
+// forward silently truncated with a wrong packet-length metadata field.
 #pragma once
 
 #include <array>
@@ -31,6 +35,7 @@
 #include <deque>
 #include <mutex>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "common/types.hpp"
@@ -46,7 +51,8 @@ class ArenaPacket {
  public:
   /// Fixed data room per buffer (one DPDK-style mbuf dataroom): every
   /// frame this simulator generates fits with slack, and the fixed size
-  /// keeps buffers interchangeable in the free list.
+  /// keeps buffers interchangeable in the free list.  Longer frames do
+  /// not fit and are rejected (see Assign).
   static constexpr std::size_t kDataRoom = 2048;
 
   ArenaPacket() = default;
@@ -75,13 +81,18 @@ class ArenaPacket {
   [[nodiscard]] u8* data() { return data_.data(); }
   [[nodiscard]] const u8* data() const { return data_.data(); }
 
-  /// Copies a frame into the buffer (clipped to kDataRoom) and sets the
-  /// length.  The producer-side fill primitive.
+  /// Copies a frame into the buffer and sets the length.  The
+  /// producer-side fill primitive.  Throws std::length_error, leaving
+  /// the buffer unchanged, when the frame exceeds kDataRoom.
   void Assign(std::span<const u8> frame) {
-    len_ = frame.size() < kDataRoom ? frame.size() : kDataRoom;
+    set_size(frame.size());
     std::memcpy(data_.data(), frame.data(), len_);
   }
-  void set_size(std::size_t n) { len_ = n < kDataRoom ? n : kDataRoom; }
+  void set_size(std::size_t n) {
+    if (n > kDataRoom)
+      throw std::length_error("ArenaPacket: frame exceeds the 2 KiB data room");
+    len_ = n;
+  }
 
   // --- Header accessors the steering/accounting paths need ---------------
   [[nodiscard]] bool has_vlan() const {
@@ -114,11 +125,6 @@ class ArenaPacket {
   /// the shard worker subtracts it at completion for the streaming
   /// latency histograms.  0 when histograms are disabled.
   u64 ingress_tsc = 0;
-  /// Phase-carry scratch for the burst-probe path: the flow-cache slot
-  /// index BurstProbe computed in phase 2, reused by the phase-3
-  /// fallback resolution so the hash is never recomputed.  Meaningless
-  /// outside one ProcessStreamBurst call.
-  u64 scratch = 0;
 
   [[nodiscard]] PacketArena* owner() const { return owner_; }
 

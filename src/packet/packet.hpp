@@ -1,8 +1,10 @@
 // Packet representation for the Menshen simulator.
 //
 // A Packet owns its bytes plus simulation metadata that real hardware would
-// carry on sidebands: arrival timestamp, ingress port, and the disposition
-// the pipeline assigns (forward to port / drop).  Header fields are accessed
+// carry on sidebands: arrival timestamp, ingress port, and what the
+// pipeline assigns (filter verdict, forward to port / drop, the execution
+// tier) — the same sideband set as the streaming ArenaPacket, so one
+// templated execution ladder serves both.  Header fields are accessed
 // through typed accessors at the fixed offsets of a VLAN-tagged IPv4 packet
 // (see headers.hpp).
 #pragma once
@@ -77,6 +79,14 @@ class Packet {
   Cycle departure_cycle = 0;
   /// Packet-buffer tag assigned by the packet filter (0-3, section 3.2).
   u8 buffer_tag = 0;
+  /// FilterVerdict (as u8 — packet/ sits below pipeline/) the planned
+  /// pipeline assigned; 0 = kData.  Only kData packets carry a pipeline
+  /// disposition.
+  u8 verdict = 0;
+  /// Execution-ladder tier (common/exec_tier.hpp ExecTier as u8) that
+  /// resolved this packet, and the stages/steps that tier visited.
+  u8 exec_tier = 0;
+  u8 exec_steps = 0;
 
   bool operator==(const Packet& other) const {
     return bytes_ == other.bytes_;

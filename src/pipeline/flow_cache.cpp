@@ -53,7 +53,6 @@ FlowRowConfig SnapshotRowConfig(const Stage* stages, std::size_t num_stages,
 /// guarantees every mask is one-word).
 void BuildStageKeys(FlowRowState& r, std::size_t num_stages) {
   const auto slots = KeySlots();
-  r.all_constant = true;
   for (std::size_t s = 0; s < num_stages; ++s) {
     const FlowRowConfig::StageConfig& sc = r.config.stages[s];
     FlowStageKey& k = r.keys[s];
@@ -67,7 +66,6 @@ void BuildStageKeys(FlowRowState& r, std::size_t num_stages) {
         k.active_slots |= static_cast<u8>(1u << i);
     k.pred_active = mask.field(0, 1) != 0 && sc.kx.cmp_op != CmpOp::kNone;
     k.word_mask = mask.word(0);
-    if (!k.skip) r.all_constant = false;
   }
 }
 

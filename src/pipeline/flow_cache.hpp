@@ -127,10 +127,6 @@ struct FlowRowConfig {
 struct FlowRowState {
   u64 built_at_version = ~u64{0};  // ConfigVersionSum stamp
   bool eligible = false;
-  /// Every stage key is constant (all-zero masks — e.g. an unconfigured
-  /// tenant): all packets share one all-zero key word array, so a batch
-  /// run probes once and replays the verdict without per-packet hashing.
-  bool all_constant = false;
   std::array<FlowStageKey, params::kNumStages> keys{};
   FlowRowConfig config;
   std::vector<FlowVerdict> slots;  // direct-mapped; empty until first fill
@@ -144,7 +140,7 @@ struct FlowCacheStats {
   u64 misses = 0;
   u64 evictions = 0;  // conflict replacements (not invalidation flushes)
   u64 occupancy = 0;  // valid slots across all rows, right now
-  u64 burst_probe_pkts = 0;    // lanes probed through BurstProbe
+  u64 burst_pkts = 0;          // lanes probed through BurstProbe
   u64 burst_fallback_pkts = 0; // lanes compacted into the fallback list
 };
 
@@ -249,14 +245,14 @@ class FlowVerdictCache {
   /// Burst-path bookkeeping: `lanes` probed, of which `fallback` were
   /// compacted for scalar resolution.
   void NoteBurst(u64 lanes, u64 fallback) {
-    burst_probe_pkts_.Add(lanes);
+    burst_pkts_.Add(lanes);
     if (fallback != 0) burst_fallback_pkts_.Add(fallback);
   }
 
   [[nodiscard]] FlowCacheStats Snapshot() const {
     return {hits_.load(),      misses_.load(),
             evictions_.load(), occupancy_.load(),
-            burst_probe_pkts_.load(), burst_fallback_pkts_.load()};
+            burst_pkts_.load(), burst_fallback_pkts_.load()};
   }
 
   [[nodiscard]] std::size_t slots_per_row() const { return slots_per_row_; }
@@ -281,7 +277,7 @@ class FlowVerdictCache {
   RelaxedCounter misses_;
   RelaxedCounter evictions_;
   RelaxedCounter occupancy_;
-  RelaxedCounter burst_probe_pkts_;
+  RelaxedCounter burst_pkts_;
   RelaxedCounter burst_fallback_pkts_;
 };
 

@@ -4,8 +4,8 @@
 #include <string>
 
 #include "packet/arena.hpp"
+#include "packet/packet.hpp"
 #include "pipeline/action_engine.hpp"
-#include "pipeline/pipeline.hpp"
 #include "pipeline/plan_exec.hpp"
 
 namespace menshen {
@@ -84,31 +84,21 @@ inline void RunStep(KernelStep& st, Phv& phv, Phv& snapshot) {
   }
 }
 
-/// The straight-line kernel: one fused function per shape.  kSteps is a
-/// compile-time constant so the stage loop unrolls; parse, probes,
-/// effects and deparse make a single pass over the PHV emplaced
-/// directly in the packet's result (the Phv constructor zero-fills, so
-/// the planned parse needs no Clear and the result needs no copy).
-/// kStateful only differentiates the shape id (stateless instances let
-/// the compiler drop the segment plumbing after inlining).
-template <int kSteps, bool kStateful, bool kMultiSlot>
-void KernelBody(KernelRun& kr, const KernelBatchCtx& ctx) {
+/// The straight-line kernel: one fused function per shape and packet
+/// type.  kSteps is a compile-time constant so the stage loop unrolls;
+/// parse, probes, effects and deparse make a single pass over one
+/// scratch PHV, Clear()ed and reused per packet, and the packet's bytes
+/// and sidebands are rewritten in place.  kStateful only differentiates
+/// the shape id (stateless instances let the compiler drop the segment
+/// plumbing after inlining).
+template <typename PacketT, int kSteps, bool kStateful, bool kMultiSlot>
+void KernelBody(KernelRun& kr, const KernelCtx<PacketT>& ctx) {
+  Phv& phv = *ctx.work;
   for (std::size_t k = 0; k < ctx.n; ++k) {
-    const std::size_t i = ctx.idx[k];
-    Packet& pkt = ctx.batch[i];
-    PipelineResult& result = ctx.out[i];
+    PacketT& pkt = *ctx.pkts[ctx.idx[k]];
+    if (k + 4 < ctx.n) PrefetchPacket(*ctx.pkts[ctx.idx[k + 4]]);
 
-    // Hide the L3 latency of the streaming accesses: the next packets'
-    // structs, their byte buffers (a dependent pointer, so one tier
-    // further out), and the result slots about to be written.
-    if (k + 8 < ctx.n) __builtin_prefetch(&ctx.batch[ctx.idx[k + 8]]);
-    if (k + 4 < ctx.n) {
-      const std::size_t ni = ctx.idx[k + 4];
-      __builtin_prefetch(ctx.batch[ni].bytes().bytes().data());
-      __builtin_prefetch(&ctx.out[ni], 1);
-    }
-
-    Phv& phv = result.final_phv.emplace();
+    phv.Clear();
     PlannedParseInto(pkt, phv, *kr.parse);
 
     for (int s = 0; s < kSteps; ++s)
@@ -129,120 +119,51 @@ void KernelBody(KernelRun& kr, const KernelBatchCtx& ctx) {
       ++*ctx.drop;
     else
       ++*ctx.fwd;
-
-    result.output = std::move(pkt);
   }
 }
 
-/// Streaming sibling of KernelBody: the run's packets are arena buffers
-/// mutated in place.  One PHV scratch is Clear()ed and reused per packet
-/// (no result emplacement, no PHV copy-out, no packet move) — the rest
-/// of the per-packet sequence is byte-identical to the batched kernel:
-/// planned parse, unrolled RunSteps, multicast resolution, planned
-/// deparse, disjoint forwarded/dropped accounting.
-template <int kSteps, bool kStateful, bool kMultiSlot>
-void StreamKernelBody(KernelRun& kr, const StreamBatchCtx& ctx) {
-  Phv& phv = *ctx.work;
-  for (std::size_t k = 0; k < ctx.n; ++k) {
-    ArenaPacket& pkt = *ctx.pkts[ctx.idx[k]];
-
-    // The byte array is ArenaPacket's first member, so one prefetch of
-    // the packet pointer covers the header bytes and a second at
-    // +kDataRoom covers the sideband metadata — no dependent pointer
-    // chase like the batched path's Packet -> heap ByteBuffer hop.
-    if (k + 4 < ctx.n) {
-      const char* np = reinterpret_cast<const char*>(ctx.pkts[ctx.idx[k + 4]]);
-      __builtin_prefetch(np);
-      __builtin_prefetch(np + ArenaPacket::kDataRoom);
-    }
-
-    phv.Clear();
-    PlannedParseInto(pkt, phv, *kr.parse);
-
-    for (int s = 0; s < kSteps; ++s)
-      RunStep<kMultiSlot>(kr.steps[static_cast<std::size_t>(s)], phv,
-                          *ctx.snapshot);
-
-    const u16 group = phv.meta_u16(meta::kMulticastGroup);
-    if (group != 0) {
-      const auto it = ctx.mcast->find(group);
-      if (it != ctx.mcast->end()) pkt.multicast_ports = it->second;
-    }
-
-    PlannedDeparseFrom(phv, pkt, *kr.deparse);
-
-    if (pkt.disposition == Disposition::kDrop)
-      ++*ctx.drop;
-    else
-      ++*ctx.fwd;
-  }
-}
-
-template <int kSteps>
-void RegisterSteps(std::array<KernelFn, kKernelShapeCount>& table) {
+template <typename PacketT, int kSteps>
+void RegisterSteps(std::array<KernelFn<PacketT>, kKernelShapeCount>& table) {
   table[KernelShapeId(kSteps, false, false, false)] =
-      &KernelBody<kSteps, false, false>;
+      &KernelBody<PacketT, kSteps, false, false>;
   table[KernelShapeId(kSteps, true, false, false)] =
-      &KernelBody<kSteps, true, false>;
+      &KernelBody<PacketT, kSteps, true, false>;
   table[KernelShapeId(kSteps, false, true, false)] =
-      &KernelBody<kSteps, false, true>;
+      &KernelBody<PacketT, kSteps, false, true>;
   table[KernelShapeId(kSteps, true, true, false)] =
-      &KernelBody<kSteps, true, true>;
+      &KernelBody<PacketT, kSteps, true, true>;
 }
 
-std::array<KernelFn, kKernelShapeCount> BuildRegistry() {
+template <typename PacketT>
+std::array<KernelFn<PacketT>, kKernelShapeCount> BuildRegistry() {
   // Shapes with the wide/ternary bit set — and step counts beyond
   // kNumStages, which no run can present — stay nullptr: the dispatcher
   // routes them to the interpreted plan path.
-  std::array<KernelFn, kKernelShapeCount> table{};
+  std::array<KernelFn<PacketT>, kKernelShapeCount> table{};
   static_assert(params::kNumStages == 5,
                 "RegisterSteps instantiations track kNumStages");
-  RegisterSteps<0>(table);
-  RegisterSteps<1>(table);
-  RegisterSteps<2>(table);
-  RegisterSteps<3>(table);
-  RegisterSteps<4>(table);
-  RegisterSteps<5>(table);
-  return table;
-}
-
-template <int kSteps>
-void RegisterStreamSteps(std::array<StreamKernelFn, kKernelShapeCount>& table) {
-  table[KernelShapeId(kSteps, false, false, false)] =
-      &StreamKernelBody<kSteps, false, false>;
-  table[KernelShapeId(kSteps, true, false, false)] =
-      &StreamKernelBody<kSteps, true, false>;
-  table[KernelShapeId(kSteps, false, true, false)] =
-      &StreamKernelBody<kSteps, false, true>;
-  table[KernelShapeId(kSteps, true, true, false)] =
-      &StreamKernelBody<kSteps, true, true>;
-}
-
-std::array<StreamKernelFn, kKernelShapeCount> BuildStreamRegistry() {
-  std::array<StreamKernelFn, kKernelShapeCount> table{};
-  static_assert(params::kNumStages == 5,
-                "RegisterStreamSteps instantiations track kNumStages");
-  RegisterStreamSteps<0>(table);
-  RegisterStreamSteps<1>(table);
-  RegisterStreamSteps<2>(table);
-  RegisterStreamSteps<3>(table);
-  RegisterStreamSteps<4>(table);
-  RegisterStreamSteps<5>(table);
+  RegisterSteps<PacketT, 0>(table);
+  RegisterSteps<PacketT, 1>(table);
+  RegisterSteps<PacketT, 2>(table);
+  RegisterSteps<PacketT, 3>(table);
+  RegisterSteps<PacketT, 4>(table);
+  RegisterSteps<PacketT, 5>(table);
   return table;
 }
 
 }  // namespace
 
-const std::array<KernelFn, kKernelShapeCount>& KernelRegistry() {
-  static const std::array<KernelFn, kKernelShapeCount> table = BuildRegistry();
+template <typename PacketT>
+const std::array<KernelFn<PacketT>, kKernelShapeCount>& KernelRegistry() {
+  static const std::array<KernelFn<PacketT>, kKernelShapeCount> table =
+      BuildRegistry<PacketT>();
   return table;
 }
 
-const std::array<StreamKernelFn, kKernelShapeCount>& StreamKernelRegistry() {
-  static const std::array<StreamKernelFn, kKernelShapeCount> table =
-      BuildStreamRegistry();
-  return table;
-}
+template const std::array<KernelFn<Packet>, kKernelShapeCount>&
+KernelRegistry<Packet>();
+template const std::array<KernelFn<ArenaPacket>, kKernelShapeCount>&
+KernelRegistry<ArenaPacket>();
 
 const char* KernelShapeName(u8 shape) {
   static const std::array<std::string, kKernelShapeCount> names = [] {

@@ -18,9 +18,10 @@
 // Stage::BeginRun resolved; invalidation therefore rides the exact same
 // summed config-version stamps the execution plans already use.  The
 // one shape class with no registered kernel — wide_or_ternary — routes
-// to the interpreted plan path (Pipeline::RunOne), which also survives
-// as the differential reference for every kernel
-// (tests/test_kernels.cpp pins byte-identity; the exhaustiveness unit
+// to the interpreted plan path (Pipeline::RunOne).  Kernels are
+// templated over the packet type like the rest of the ladder: one
+// registry per type, the same shapes in both (tests/test_kernels.cpp
+// pins byte-identity against ProcessUnplanned; the exhaustiveness unit
 // pins that no other shape can silently fall through).
 //
 // Counter exactness: probes are quiet (no per-packet atomics) and each
@@ -42,7 +43,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "packet/packet.hpp"
 #include "phv/phv.hpp"
 #include "pipeline/exec_plan.hpp"
 #include "pipeline/flow_cache.hpp"
@@ -50,9 +50,6 @@
 #include "pipeline/stage.hpp"
 
 namespace menshen {
-
-struct PipelineResult;  // pipeline.hpp (kernels.cpp sees the full type)
-class ArenaPacket;      // packet/arena.hpp (streaming kernels)
 
 /// Shape id: bits [2:0] step count (0..kNumStages), bit 3 stateful,
 /// bit 4 multi-slot, bit 5 wide-or-ternary.  64 ids; the registry holds
@@ -118,32 +115,13 @@ struct KernelRun {
   const DeparsePlan* deparse = nullptr;
 };
 
-/// Per-run packet span a kernel executes: `idx[0..n)` are indices into
-/// `batch`/`out` (the pipeline's classified data-packet order).
-struct KernelBatchCtx {
-  Packet* batch = nullptr;
-  PipelineResult* out = nullptr;
-  const u32* idx = nullptr;
-  std::size_t n = 0;
-  const std::unordered_map<u16, std::vector<u16>>* mcast = nullptr;
-  u64* fwd = nullptr;
-  u64* drop = nullptr;
-  Phv* snapshot = nullptr;  // multi-slot VLIW snapshot scratch
-};
-
-using KernelFn = void (*)(KernelRun&, const KernelBatchCtx&);
-
-/// The kernel registry: one slot per shape id.  nullptr = no registered
-/// kernel, route to the interpreted plan path.
-[[nodiscard]] const std::array<KernelFn, kKernelShapeCount>& KernelRegistry();
-
-/// Streaming variant of KernelBatchCtx: the run's packets are arena
-/// buffers mutated in place — no PipelineResult, no PHV copy-out, no
-/// packet move.  `work` is the pipeline's reused per-packet PHV scratch
-/// (Clear()ed per packet by the kernel); everything else mirrors the
-/// batched context.
-struct StreamBatchCtx {
-  ArenaPacket* const* pkts = nullptr;
+/// Per-run packet span a kernel executes: `idx[0..n)` index `pkts` (the
+/// pipeline's classified data-packet order), each packet mutated in
+/// place.  `work` is the pipeline's reused per-packet PHV scratch
+/// (Clear()ed per packet by the kernel).
+template <typename PacketT>
+struct KernelCtx {
+  PacketT* const* pkts = nullptr;
   const u32* idx = nullptr;
   std::size_t n = 0;
   const std::unordered_map<u16, std::vector<u16>>* mcast = nullptr;
@@ -153,12 +131,15 @@ struct StreamBatchCtx {
   Phv* work = nullptr;      // per-packet PHV scratch
 };
 
-using StreamKernelFn = void (*)(KernelRun&, const StreamBatchCtx&);
+template <typename PacketT>
+using KernelFn = void (*)(KernelRun&, const KernelCtx<PacketT>&);
 
-/// Streaming kernel registry: same shape ids, same step machinery
-/// (RunStep is shared), nullptr = interpreted streaming fallback.
-[[nodiscard]] const std::array<StreamKernelFn, kKernelShapeCount>&
-StreamKernelRegistry();
+/// The kernel registry for one packet type (Packet or ArenaPacket): one
+/// slot per shape id.  nullptr = no registered kernel, route to the
+/// interpreted plan path.
+template <typename PacketT>
+[[nodiscard]] const std::array<KernelFn<PacketT>, kKernelShapeCount>&
+KernelRegistry();
 
 /// Compiles the per-stage run contexts BeginRun resolved into a kernel
 /// step list.  Returns false — interpreter fallback — iff some probing

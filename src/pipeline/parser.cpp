@@ -81,9 +81,4 @@ void Deparser::Deparse(const Phv& phv, Packet& pkt) const {
   ApplyDisposition(phv, pkt);
 }
 
-void Deparser::DeparsePlanned(const Phv& phv, Packet& pkt,
-                              const DeparsePlan& plan) const {
-  PlannedDeparseFrom(phv, pkt, plan);
-}
-
 }  // namespace menshen

@@ -52,14 +52,9 @@ class Deparser {
   /// Writes the PHV containers named by the module's deparser entry back
   /// into the packet header bytes, then applies the PHV's disposition
   /// metadata (egress port / discard flag) to the packet.  Linear full
-  /// deparse — the differential reference for the planned variant.
+  /// deparse — the differential reference for the planned deparse
+  /// (pipeline/plan_exec.hpp PlannedDeparseFrom).
   void Deparse(const Phv& phv, Packet& pkt) const;
-
-  /// Compiled-plan variant: writes back only the actions that can change
-  /// packet bytes — identity writes (unmodified container returning to
-  /// the offset it was parsed from) were pruned at plan compile time.
-  void DeparsePlanned(const Phv& phv, Packet& pkt,
-                      const DeparsePlan& plan) const;
 
   [[nodiscard]] OverlayTable<DeparserEntry>& table() { return table_; }
   [[nodiscard]] const OverlayTable<DeparserEntry>& table() const {

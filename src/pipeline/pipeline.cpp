@@ -65,93 +65,77 @@ FlowRowState& Pipeline::FlowRowFor(ModuleId module) {
                                stages_.data(), stages_.size(), plan);
 }
 
-void Pipeline::RunResolveCached(Packet& pkt, PipelineResult& result, Phv& phv,
-                                const ModuleExecPlan& plan, FlowRowState& frow,
-                                FlowVerdictCache::RunAccounting& acct,
-                                ModuleId module, FlowVerdict& v, bool hit,
-                                const FlowVerdictCache::KeyWordArray& words,
-                                u64& fwd, u64& drop) {
-  if (hit) {
-    flow_cache_.NoteHit();
-    FlowVerdictCache::ApplyEffects(v, phv);
-    result.exec_tier = static_cast<u8>(ExecTier::kFlowCacheHit);
-    result.exec_steps = 0;
-  } else {
-    flow_cache_.NoteMiss();
-    flow_cache_.BeginFill(frow, v, module, words);
-    // The miss falls into the straight-line recording kernel; only
-    // ternary-probing eligible rows keep the interpreted walk.
-    if (kernels_enabled_ && KernelRecordVerdict(frow, stages_.data(),
-                                                stages_.size(), module, phv,
-                                                v)) {
-      kernel_record_fills_.Add();
-      result.exec_tier = static_cast<u8>(ExecTier::kKernel);
-      result.exec_steps = plan.kernel.potential_steps;
-    } else {
-      FlowVerdictCache::BuildVerdict(frow, stages_.data(), stages_.size(),
-                                     module, phv, v);
-      result.exec_tier = static_cast<u8>(ExecTier::kInterpreted);
-      result.exec_steps = static_cast<u8>(stages_.size());
-    }
-    v.valid = true;
-  }
-  FlowVerdictCache::Accumulate(acct, v, stages_.size());
-
-  // Tail identical to RunOne: multicast ports resolve live (the group
-  // table has no version counter, so only the group id is cached).
+template <typename PacketT>
+void Pipeline::Emit(PacketT& pkt, const Phv& phv, const DeparsePlan& deparse,
+                    u64& fwd, u64& drop) {
+  // Multicast ports resolve live (traffic-manager side, consulted by the
+  // deparser): the group table has no version counter, so the flow
+  // cache records only the group id.
   const u16 group = phv.meta_u16(meta::kMulticastGroup);
   if (group != 0) {
     if (const auto* ports = MulticastGroup(group)) pkt.multicast_ports = *ports;
   }
 
-  deparser_.DeparsePlanned(phv, pkt, plan.deparse);
+  PlannedDeparseFrom(phv, pkt, deparse);
 
   if (pkt.disposition == Disposition::kDrop)
     ++drop;
   else
     ++fwd;
-
-  result.output = std::move(pkt);
 }
 
-void Pipeline::RunOneCached(Packet& pkt, PipelineResult& result,
-                            const ModuleExecPlan& plan, FlowRowState& frow,
-                            FlowVerdictCache::RunAccounting& acct,
-                            ModuleId module, u64& fwd, u64& drop) {
-  ++total_processed_;
-  // Parse straight into the emplaced result PHV (the Phv constructor
-  // zero-fills): no Clear, no final 128-byte copy-out.
-  Phv& phv = result.final_phv.emplace();
-  PlannedParseInto(pkt, phv, plan.parse);
-
-  FlowVerdictCache::KeyWordArray words;
-  FlowVerdictCache::KeyWords(frow, stages_.size(), phv, words);
-  bool hit = false;
-  FlowVerdict& v = flow_cache_.SlotFor(frow, module, words, hit);
-  RunResolveCached(pkt, result, phv, plan, frow, acct, module, v, hit, words,
-                   fwd, drop);
+template <typename PacketT>
+void Pipeline::ResolveCached(PacketT& pkt, Phv& phv,
+                             const ModuleExecPlan& plan, FlowRowState& frow,
+                             FlowVerdictCache::RunAccounting& acct,
+                             ModuleId module, FlowVerdict& v, bool hit,
+                             const FlowVerdictCache::KeyWordArray& words,
+                             u64& fwd, u64& drop) {
+  if (hit) {
+    flow_cache_.NoteHit();
+    FlowVerdictCache::ApplyEffects(v, phv);
+    pkt.exec_tier = static_cast<u8>(ExecTier::kFlowCacheHit);
+    pkt.exec_steps = 0;
+  } else {
+    flow_cache_.NoteMiss();
+    flow_cache_.BeginFill(frow, v, module, words);
+    // The miss falls into the straight-line recording kernel; only
+    // ternary-probing eligible rows keep the interpreted walk.
+    if (KernelRecordVerdict(frow, stages_.data(), stages_.size(), module, phv,
+                            v)) {
+      kernel_record_fills_.Add();
+      pkt.exec_tier = static_cast<u8>(ExecTier::kKernel);
+      pkt.exec_steps = plan.kernel.potential_steps;
+    } else {
+      FlowVerdictCache::BuildVerdict(frow, stages_.data(), stages_.size(),
+                                     module, phv, v);
+      pkt.exec_tier = static_cast<u8>(ExecTier::kInterpreted);
+      pkt.exec_steps = static_cast<u8>(stages_.size());
+    }
+    v.valid = true;
+  }
+  FlowVerdictCache::Accumulate(acct, v, stages_.size());
+  Emit(pkt, phv, plan.deparse, fwd, drop);
 }
 
-void Pipeline::BatchRunBurstCached(Packet* batch, PipelineResult* out,
-                                   const u32* idx, std::size_t n,
-                                   const ModuleExecPlan& plan,
-                                   FlowRowState& frow,
-                                   FlowVerdictCache::RunAccounting& acct,
-                                   ModuleId module, u64& fwd, u64& drop) {
+template <typename PacketT>
+void Pipeline::RunSpanCached(PacketT* const* pkts, const u32* idx,
+                             std::size_t n, const ModuleExecPlan& plan,
+                             FlowRowState& frow,
+                             FlowVerdictCache::RunAccounting& acct,
+                             ModuleId module, u64& fwd, u64& drop) {
   for (std::size_t off = 0; off < n; off += kBurstLanes) {
     const std::size_t c = std::min(kBurstLanes, n - off);
     const u32* lanes = idx + off;
-    // Phase 1: parse each lane into its result's emplaced PHV and
-    // gather the probing stages' key words into the contiguous scratch
-    // (skip stages keep the pre-zeroed constant 0).
+    // Phase 1: parse each lane into its own scratch PHV (it must
+    // survive to the replay phase) and gather the probing stages' key
+    // words into the contiguous scratch array; skip stages keep the
+    // pre-zeroed constant 0.
     for (std::size_t k = 0; k < c; ++k) {
-      const std::size_t i = lanes[k];
-      if (k + 4 < c) {
-        __builtin_prefetch(batch[lanes[k + 4]].bytes().bytes().data());
-        __builtin_prefetch(&out[lanes[k + 4]], 1);
-      }
-      Phv& phv = out[i].final_phv.emplace();
-      PlannedParseInto(batch[i], phv, plan.parse);
+      if (k + 4 < c) PrefetchPacket(*pkts[lanes[k + 4]]);
+      Phv& phv = burst_phv_[k];
+      phv.Clear();
+      PlannedParseInto(*pkts[lanes[k]], phv, plan.parse);
       FlowVerdictCache::KeyWordArray& w = burst_words_[k];
       w = {};
       for (u8 g = 0; g < plan.gather.count; ++g) {
@@ -177,173 +161,195 @@ void Pipeline::BatchRunBurstCached(Packet* batch, PipelineResult* out,
     for (std::size_t k = 0; k < c; ++k) {
       const FlowVerdict* v = burst_verdicts_[k];
       if (v == nullptr) continue;
-      const std::size_t i = lanes[k];
-      Packet& pkt = batch[i];
-      PipelineResult& result = out[i];
-      Phv& phv = *result.final_phv;
+      PacketT& pkt = *pkts[lanes[k]];
+      Phv& phv = burst_phv_[k];
       FlowVerdictCache::ApplyEffects(*v, phv);
-      result.exec_tier = static_cast<u8>(ExecTier::kFlowCacheHit);
-      result.exec_steps = 0;
+      pkt.exec_tier = static_cast<u8>(ExecTier::kFlowCacheHit);
+      pkt.exec_steps = 0;
       FlowVerdictCache::Accumulate(acct, *v, stages_.size());
-      const u16 group = phv.meta_u16(meta::kMulticastGroup);
-      if (group != 0) {
-        if (const auto* ports = MulticastGroup(group))
-          pkt.multicast_ports = *ports;
-      }
-      deparser_.DeparsePlanned(phv, pkt, plan.deparse);
-      if (pkt.disposition == Disposition::kDrop)
-        ++drop;
-      else
-        ++fwd;
-      result.output = std::move(pkt);
+      Emit(pkt, phv, plan.deparse, fwd, drop);
     }
     // Phase 3b: resolve fallback lanes in lane order — each re-probes
     // its slot (hash reused via burst_slot_) against the then-current
     // content, so outcomes, fills and eviction bookkeeping land exactly
-    // as the scalar loop would produce them.
+    // as a per-packet probe loop would produce them.
     for (std::size_t f = 0; f < fallback_count; ++f) {
       const std::size_t k = burst_fallback_[f];
-      const std::size_t i = lanes[k];
       bool hit = false;
       FlowVerdict& v = FlowVerdictCache::SlotAt(frow, burst_slot_[k], module,
                                                 burst_words_[k], hit);
-      RunResolveCached(batch[i], out[i], *out[i].final_phv, plan, frow, acct,
-                       module, v, hit, burst_words_[k], fwd, drop);
+      ResolveCached(*pkts[lanes[k]], burst_phv_[k], plan, frow, acct, module,
+                    v, hit, burst_words_[k], fwd, drop);
     }
   }
 }
 
-void Pipeline::RunOneReplay(Packet& pkt, PipelineResult& result,
-                            const ModuleExecPlan& plan, const FlowVerdict& v,
-                            u64& fwd, u64& drop) {
+template <typename PacketT>
+void Pipeline::RunOne(PacketT& pkt, const ModuleExecPlan& plan, u64& fwd,
+                      u64& drop) {
   ++total_processed_;
-  Phv& phv = result.final_phv.emplace();
-  PlannedParseInto(pkt, phv, plan.parse);
-  FlowVerdictCache::ApplyEffects(v, phv);
-  result.exec_tier = static_cast<u8>(ExecTier::kFlowCacheHit);
-  result.exec_steps = 0;
-
-  const u16 group = phv.meta_u16(meta::kMulticastGroup);
-  if (group != 0) {
-    if (const auto* ports = MulticastGroup(group)) pkt.multicast_ports = *ports;
-  }
-
-  deparser_.DeparsePlanned(phv, pkt, plan.deparse);
-
-  if (pkt.disposition == Disposition::kDrop)
-    ++drop;
-  else
-    ++fwd;
-
-  result.output = std::move(pkt);
-}
-
-void Pipeline::RunOne(Packet& pkt, PipelineResult& result,
-                      const ModuleExecPlan& plan, u64& fwd, u64& drop) {
-  ++total_processed_;
-  Phv& phv = result.final_phv.emplace();
-  PlannedParseInto(pkt, phv, plan.parse);
+  phv_.Clear();
+  PlannedParseInto(pkt, phv_, plan.parse);
   for (std::size_t s = 0; s < stages_.size(); ++s)
-    stages_[s].ProcessRun(phv, run_ctx_[s]);
-  result.exec_tier = static_cast<u8>(ExecTier::kInterpreted);
-  result.exec_steps = static_cast<u8>(stages_.size());
-
-  // Multicast resolution (traffic-manager side, consulted by the deparser).
-  const u16 group = phv.meta_u16(meta::kMulticastGroup);
-  if (group != 0) {
-    if (const auto* ports = MulticastGroup(group)) pkt.multicast_ports = *ports;
-  }
-
-  deparser_.DeparsePlanned(phv, pkt, plan.deparse);
-
-  if (pkt.disposition == Disposition::kDrop)
-    ++drop;
-  else
-    ++fwd;
-
-  result.output = std::move(pkt);
+    stages_[s].ProcessRun(phv_, run_ctx_[s]);
+  pkt.exec_tier = static_cast<u8>(ExecTier::kInterpreted);
+  pkt.exec_steps = static_cast<u8>(stages_.size());
+  Emit(pkt, phv_, plan.deparse, fwd, drop);
 }
 
-void Pipeline::RunSpan(Packet* batch, PipelineResult* out, const u32* idx,
-                       std::size_t n, const ModuleExecPlan& plan, u64& fwd,
-                       u64& drop) {
-  if (kernels_enabled_ && !plan.kernel.wide_or_ternary &&
+template <typename PacketT>
+void Pipeline::RunSpan(PacketT* const* pkts, const u32* idx, std::size_t n,
+                       const ModuleExecPlan& plan, u64& fwd, u64& drop) {
+  if (!plan.kernel.wide_or_ternary &&
       BuildKernelRun(stages_.data(), stages_.size(), run_ctx_.data(), plan,
                      kernel_run_)) {
     const u8 shape = KernelShapeId(kernel_run_.num_steps, plan.kernel.stateful,
                                    plan.kernel.multi_slot, false);
-    if (const KernelFn fn = KernelRegistry()[shape]) {
-      KernelBatchCtx ctx;
-      ctx.batch = batch;
-      ctx.out = out;
+    if (const KernelFn<PacketT> fn = KernelRegistry<PacketT>()[shape]) {
+      KernelCtx<PacketT> ctx;
+      ctx.pkts = pkts;
       ctx.idx = idx;
       ctx.n = n;
       ctx.mcast = &mcast_groups_;
       ctx.fwd = &fwd;
       ctx.drop = &drop;
       ctx.snapshot = &kernel_snapshot_scratch_;
+      ctx.work = &phv_;
       fn(kernel_run_, ctx);
       FlushKernelCounters(stages_.data(), kernel_run_);
       total_processed_ += n;
       kernel_pkts_.Add(n);
       kernel_shape_pkts_[shape].Add(n);
       for (std::size_t k = 0; k < n; ++k) {
-        out[idx[k]].exec_tier = static_cast<u8>(ExecTier::kKernel);
-        out[idx[k]].exec_steps = kernel_run_.num_steps;
+        pkts[idx[k]]->exec_tier = static_cast<u8>(ExecTier::kKernel);
+        pkts[idx[k]]->exec_steps = kernel_run_.num_steps;
       }
       return;
     }
   }
   kernel_fallback_pkts_.Add(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::size_t i = idx[k];
-    RunOne(batch[i], out[i], plan, fwd, drop);
+  for (std::size_t k = 0; k < n; ++k) RunOne(*pkts[idx[k]], plan, fwd, drop);
+}
+
+template <typename PacketT>
+void Pipeline::RunBurst(PacketT* const* pkts, std::size_t n) {
+  data_idx_scratch_.clear();
+  std::size_t span_start = 0;  // index into data_idx_scratch_
+  ModuleId span_module(0);
+  for (std::size_t i = 0; i <= n; ++i) {
+    if (i < n) {
+      if (i + 4 < n) PrefetchPacket(*pkts[i + 4]);
+      PacketT& pkt = *pkts[i];
+
+      // Disposition fields are per-device sidebands, not packet bytes: a
+      // packet entering this pipeline carries none of the previous
+      // device's forwarding decisions.
+      pkt.disposition = Disposition::kForward;
+      pkt.egress_port = 0;
+      pkt.multicast_ports.clear();
+      pkt.exec_tier = static_cast<u8>(ExecTier::kNone);
+      pkt.exec_steps = 0;
+
+      const FilterVerdict verdict = filter_.Classify(pkt);
+      pkt.verdict = static_cast<u8>(verdict);
+      if (verdict != FilterVerdict::kData) {
+        if (verdict == FilterVerdict::kDropBitmap)
+          ++dropped_[pkt.vid().value()];
+        continue;
+      }
+      const ModuleId vid = pkt.vid();
+      if (data_idx_scratch_.size() == span_start || vid == span_module) {
+        // Extends the open span (or opens the first one).
+        span_module = vid;
+        data_idx_scratch_.push_back(static_cast<u32>(i));
+        continue;
+      }
+      // Tenant change: execute the open span below, then start a new
+      // one with this packet.
+    } else if (data_idx_scratch_.size() == span_start) {
+      break;  // end of burst, no span left to flush
+    }
+
+    const ModuleId module = span_module;
+    const std::size_t a = span_start;
+    const std::size_t b = data_idx_scratch_.size();
+
+    const ModuleExecPlan& plan = ExecPlanFor(module);
+    // BeginRun resolves the per-stage contexts AND accounts constant-key
+    // stages for the run — required on the cached path too, which skips
+    // ProcessRun but relies on that accounting.
+    for (std::size_t s = 0; s < stages_.size(); ++s)
+      stages_[s].BeginRun(module, b - a, run_ctx_[s]);
+    // unordered_map references are stable across inserts, so the run's
+    // counter slots are hoisted out of the packet loop.
+    u64& fwd = forwarded_[module.value()];
+    u64& drop = dropped_[module.value()];
+
+    const std::size_t row = parser_.table().IndexFor(module);
+    FlowRowState& frow = flow_cache_.EnsureRow(
+        row, exec_plans_[row].built_at_version, stages_.data(),
+        stages_.size(), plan);
+    if (frow.eligible) {
+      // Provably stateless row: every packet goes through the
+      // flow-verdict cache; counter deltas flush once per run.
+      FlowVerdictCache::RunAccounting acct;
+      RunSpanCached(pkts, data_idx_scratch_.data() + a, b - a, plan, frow,
+                    acct, module, fwd, drop);
+      FlowVerdictCache::FlushAccounting(acct, frow, stages_.data(),
+                                        stages_.size());
+    } else {
+      RunSpan(pkts, data_idx_scratch_.data() + a, b - a, plan, fwd, drop);
+    }
+    span_start = b;
+    if (i < n) {
+      // The packet that closed the previous span opens the next one.
+      span_module = pkts[i]->vid();
+      data_idx_scratch_.push_back(static_cast<u32>(i));
+    }
   }
 }
 
+namespace {
+
+/// A batched result from the sidebands the ladder left on `pkt`; a data
+/// packet moves into `output`.
+void TakeResult(Packet& pkt, PipelineResult& result) {
+  result.filter_verdict = static_cast<FilterVerdict>(pkt.verdict);
+  result.exec_tier = pkt.exec_tier;
+  result.exec_steps = pkt.exec_steps;
+  if (result.filter_verdict == FilterVerdict::kData)
+    result.output = std::move(pkt);
+}
+
+}  // namespace
+
 PipelineResult Pipeline::Process(Packet pkt) {
-  // Single-packet front door: a module run of length one through the
-  // same compiled-plan machinery as ProcessBatchInto (the dataplane
-  // differential tests pin the two byte-for-byte).
-  //
-  // Disposition fields are per-device simulation sidebands, not packet
-  // bytes: a packet entering this pipeline carries none of the previous
-  // device's forwarding decisions.
-  pkt.disposition = Disposition::kForward;
-  pkt.egress_port = 0;
-  pkt.multicast_ports.clear();
-
+  Packet* const p = &pkt;
+  RunBurst(&p, 1);
   PipelineResult result;
-  result.filter_verdict = filter_.Classify(pkt);
-  if (result.filter_verdict != FilterVerdict::kData) {
-    if (result.filter_verdict == FilterVerdict::kDropBitmap)
-      ++dropped_[pkt.vid().value()];
-    return result;
-  }
-
-  const ModuleId module = pkt.vid();
-  const ModuleExecPlan& plan = ExecPlanFor(module);
-  // BeginRun resolves the per-stage contexts AND accounts constant-key
-  // stages for the run — required on the cached path too, which skips
-  // ProcessRun but relies on that accounting.
-  for (std::size_t s = 0; s < stages_.size(); ++s)
-    stages_[s].BeginRun(module, 1, run_ctx_[s]);
-  const std::size_t row = parser_.table().IndexFor(module);
-  FlowRowState& frow = flow_cache_.EnsureRow(
-      row, exec_plans_[row].built_at_version, stages_.data(), stages_.size(),
-      plan);
-  if (frow.eligible) {
-    FlowVerdictCache::RunAccounting acct;
-    RunOneCached(pkt, result, plan, frow, acct, module,
-                 forwarded_[module.value()], dropped_[module.value()]);
-    FlowVerdictCache::FlushAccounting(acct, frow, stages_.data(),
-                                      stages_.size());
-  } else {
-    static constexpr u32 kZeroIdx = 0;
-    RunSpan(&pkt, &result, &kZeroIdx, 1, plan, forwarded_[module.value()],
-            dropped_[module.value()]);
-  }
+  TakeResult(pkt, result);
   return result;
+}
+
+void Pipeline::ProcessBatchInto(std::vector<Packet>&& batch,
+                                std::vector<PipelineResult>& out) {
+  const std::size_t n = batch.size();
+  batch_ptrs_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) batch_ptrs_[i] = &batch[i];
+  RunBurst(batch_ptrs_.data(), n);
+  out.reserve(out.size() + n);
+  for (Packet& pkt : batch) TakeResult(pkt, out.emplace_back());
+}
+
+std::vector<PipelineResult> Pipeline::ProcessBatch(
+    std::vector<Packet>&& batch) {
+  std::vector<PipelineResult> out;
+  ProcessBatchInto(std::move(batch), out);
+  return out;
+}
+
+void Pipeline::ProcessStreamBurst(ArenaPacket* const* pkts, std::size_t n) {
+  RunBurst(pkts, n);
 }
 
 PipelineResult Pipeline::ProcessUnplanned(Packet pkt) {
@@ -383,474 +389,6 @@ PipelineResult Pipeline::ProcessUnplanned(Packet pkt) {
   result.final_phv = phv;
   result.output = std::move(pkt);
   return result;
-}
-
-void Pipeline::ProcessBatchInto(std::vector<Packet>&& batch,
-                                std::vector<PipelineResult>& out) {
-  const std::size_t base = out.size();
-  const std::size_t n = batch.size();
-  out.reserve(base + n);
-
-  // One fused pass: classify packets in arrival order (the filter's
-  // round-robin buffer-tag cursor and drop counters advance exactly as
-  // on the per-packet path, and non-data packets finish outright), and
-  // execute each module run — a maximal span of consecutive data
-  // packets sharing a tenant; non-data packets never touch the stages,
-  // so they do not break a run — the moment the tenant changes, while
-  // the span's packets are still cache-hot from classification.  (The
-  // earlier classify-everything-then-execute structure evicted a span
-  // from L1 between the two passes.)
-  data_idx_scratch_.clear();
-  std::size_t span_start = 0;  // index into data_idx_scratch_
-  ModuleId span_module(0);
-  for (std::size_t i = 0; i <= n; ++i) {
-    if (i < n) {
-      // First touch of each packet: hide the LLC latency of the batch
-      // stream (struct first, then the dependent byte-buffer pointer).
-      if (i + 8 < n) __builtin_prefetch(&batch[i + 8]);
-      if (i + 4 < n) __builtin_prefetch(batch[i + 4].bytes().bytes().data());
-      Packet& pkt = batch[i];
-      PipelineResult& result = out.emplace_back();
-
-      // Same sideband reset as Process(): no forwarding decision
-      // survives from a previous device.
-      pkt.disposition = Disposition::kForward;
-      pkt.egress_port = 0;
-      pkt.multicast_ports.clear();
-
-      result.filter_verdict = filter_.Classify(pkt);
-      if (result.filter_verdict != FilterVerdict::kData) {
-        if (result.filter_verdict == FilterVerdict::kDropBitmap)
-          ++dropped_[pkt.vid().value()];
-        continue;
-      }
-      const ModuleId vid = pkt.vid();
-      if (data_idx_scratch_.size() == span_start || vid == span_module) {
-        // Extends the open span (or opens the first one).
-        span_module = vid;
-        data_idx_scratch_.push_back(static_cast<u32>(i));
-        continue;
-      }
-      // Tenant change: execute the open span below, then start a new
-      // one with this packet.
-    } else if (data_idx_scratch_.size() == span_start) {
-      break;  // end of batch, no span left to flush
-    }
-
-    const ModuleId module = span_module;
-    const std::size_t a = span_start;
-    const std::size_t b = data_idx_scratch_.size();
-
-    const ModuleExecPlan& plan = ExecPlanFor(module);
-    for (std::size_t s = 0; s < stages_.size(); ++s)
-      stages_[s].BeginRun(module, b - a, run_ctx_[s]);
-    // unordered_map references are stable across inserts, so the run's
-    // counter slots are hoisted out of the packet loop.
-    u64& fwd = forwarded_[module.value()];
-    u64& drop = dropped_[module.value()];
-
-    const std::size_t row = parser_.table().IndexFor(module);
-    FlowRowState& frow = flow_cache_.EnsureRow(
-        row, exec_plans_[row].built_at_version, stages_.data(),
-        stages_.size(), plan);
-    if (frow.eligible) {
-      // Provably stateless row: every packet goes through the
-      // flow-verdict cache; counter deltas flush once per run.
-      FlowVerdictCache::RunAccounting acct;
-      std::size_t k = a;
-      if (frow.all_constant && b - a > 1) {
-        // Every packet shares the all-zero key word array, so one probe
-        // covers the run: the first packet probes (filling on a miss)
-        // and the rest replay the now-resident verdict with no
-        // per-packet extraction or hashing.  Constant-key stages are
-        // accounted by BeginRun for the whole run and an all-constant
-        // verdict owes no per-packet probe deltas, so the replayed
-        // packets only need the bulk hit count.
-        const std::size_t i0 = data_idx_scratch_[k++];
-        RunOneCached(batch[i0], out[base + i0], plan, frow, acct, module,
-                     fwd, drop);
-        static constexpr FlowVerdictCache::KeyWordArray kZeroWords{};
-        bool hit = false;
-        const FlowVerdict& v =
-            flow_cache_.SlotFor(frow, module, kZeroWords, hit);
-        if (hit) {
-          flow_cache_.NoteHit(b - k);
-          if (plan.parse.count == 0 && plan.deparse.count == 0 && k < b) {
-            // Run-constant replay: with no parse or deparse byte-moves
-            // the replayed PHV is identical across the run except the
-            // per-packet pipeline metadata — and no cached effect can
-            // touch those bytes (effects write containers, kUser,
-            // kDstPort, kFlags or kMulticastGroup; never kSrcPort,
-            // kPktLen or kBufferTag).  So the verdict's PHV, the
-            // multicast resolution and the disposition are computed
-            // once, and each packet just copies + patches.
-            Phv tmpl;
-            tmpl.module_id = module;
-            FlowVerdictCache::ApplyEffects(v, tmpl);
-            const u16 group = tmpl.meta_u16(meta::kMulticastGroup);
-            const std::vector<u16>* mports =
-                group != 0 ? MulticastGroup(group) : nullptr;
-            const bool discard = tmpl.discard_flag();
-            const bool multicast =
-                !discard && mports != nullptr && !mports->empty();
-            const u16 egress = tmpl.meta_u16(meta::kDstPort);
-            const Disposition disp = discard      ? Disposition::kDrop
-                                     : multicast ? Disposition::kMulticast
-                                                 : Disposition::kForward;
-            (discard ? drop : fwd) += b - k;
-            total_processed_ += b - k;
-            for (; k < b; ++k) {
-              const std::size_t i = data_idx_scratch_[k];
-              if (k + 4 < b) {
-                const std::size_t pi = data_idx_scratch_[k + 4];
-                __builtin_prefetch(batch[pi].bytes().bytes().data());
-                __builtin_prefetch(&out[base + pi], 1);
-              }
-              Packet& pkt = batch[i];
-              PipelineResult& r = out[base + i];
-              r.exec_tier = static_cast<u8>(ExecTier::kFlowCacheHit);
-              r.exec_steps = 0;
-              Phv& phv = r.final_phv.emplace(tmpl);
-              FillPipelineMetadata(pkt, phv);
-              if (multicast) pkt.multicast_ports = *mports;
-              pkt.disposition = disp;
-              if (disp == Disposition::kForward) pkt.egress_port = egress;
-              r.output = std::move(pkt);
-            }
-          }
-          for (; k < b; ++k) {
-            const std::size_t i = data_idx_scratch_[k];
-            if (k + 4 < b) {
-              const std::size_t pi = data_idx_scratch_[k + 4];
-              __builtin_prefetch(batch[pi].bytes().bytes().data());
-              __builtin_prefetch(&out[base + pi], 1);
-            }
-            RunOneReplay(batch[i], out[base + i], plan, v, fwd, drop);
-          }
-        }
-      }
-      if (burst_probe_enabled_ && !frow.all_constant && b - k >= 2) {
-        // Burst-probed span (the all-constant fast path above already
-        // replays without per-packet hashing, so it stays scalar).
-        BatchRunBurstCached(batch.data(), out.data() + base,
-                            data_idx_scratch_.data() + k, b - k, plan, frow,
-                            acct, module, fwd, drop);
-        k = b;
-      }
-      for (; k < b; ++k) {
-        const std::size_t i = data_idx_scratch_[k];
-        if (k + 4 < b) {
-          const std::size_t pi = data_idx_scratch_[k + 4];
-          __builtin_prefetch(batch[pi].bytes().bytes().data());
-          __builtin_prefetch(&out[base + pi], 1);
-        }
-        RunOneCached(batch[i], out[base + i], plan, frow, acct, module, fwd,
-                     drop);
-      }
-      FlowVerdictCache::FlushAccounting(acct, frow, stages_.data(),
-                                        stages_.size());
-    } else {
-      RunSpan(batch.data(), out.data() + base, data_idx_scratch_.data() + a,
-              b - a, plan, fwd, drop);
-    }
-    span_start = b;
-    if (i < n) {
-      // The packet that closed the previous span opens the next one.
-      span_module = batch[i].vid();
-      data_idx_scratch_.push_back(static_cast<u32>(i));
-    }
-  }
-}
-
-std::vector<PipelineResult> Pipeline::ProcessBatch(
-    std::vector<Packet>&& batch) {
-  std::vector<PipelineResult> out;
-  ProcessBatchInto(std::move(batch), out);
-  return out;
-}
-
-void Pipeline::StreamRunOne(ArenaPacket& pkt, const ModuleExecPlan& plan,
-                            u64& fwd, u64& drop) {
-  ++total_processed_;
-  Phv& phv = stream_phv_;
-  phv.Clear();
-  PlannedParseInto(pkt, phv, plan.parse);
-  for (std::size_t s = 0; s < stages_.size(); ++s)
-    stages_[s].ProcessRun(phv, run_ctx_[s]);
-  pkt.exec_tier = static_cast<u8>(ExecTier::kInterpreted);
-  pkt.exec_steps = static_cast<u8>(stages_.size());
-
-  const u16 group = phv.meta_u16(meta::kMulticastGroup);
-  if (group != 0) {
-    if (const auto* ports = MulticastGroup(group)) pkt.multicast_ports = *ports;
-  }
-
-  PlannedDeparseFrom(phv, pkt, plan.deparse);
-
-  if (pkt.disposition == Disposition::kDrop)
-    ++drop;
-  else
-    ++fwd;
-}
-
-void Pipeline::StreamResolveCached(ArenaPacket& pkt, Phv& phv,
-                                   const ModuleExecPlan& plan,
-                                   FlowRowState& frow,
-                                   FlowVerdictCache::RunAccounting& acct,
-                                   ModuleId module, FlowVerdict& v, bool hit,
-                                   const FlowVerdictCache::KeyWordArray& words,
-                                   u64& fwd, u64& drop) {
-  if (hit) {
-    flow_cache_.NoteHit();
-    FlowVerdictCache::ApplyEffects(v, phv);
-    pkt.exec_tier = static_cast<u8>(ExecTier::kFlowCacheHit);
-    pkt.exec_steps = 0;
-  } else {
-    flow_cache_.NoteMiss();
-    flow_cache_.BeginFill(frow, v, module, words);
-    if (kernels_enabled_ && KernelRecordVerdict(frow, stages_.data(),
-                                                stages_.size(), module, phv,
-                                                v)) {
-      kernel_record_fills_.Add();
-      pkt.exec_tier = static_cast<u8>(ExecTier::kKernel);
-      pkt.exec_steps = plan.kernel.potential_steps;
-    } else {
-      FlowVerdictCache::BuildVerdict(frow, stages_.data(), stages_.size(),
-                                     module, phv, v);
-      pkt.exec_tier = static_cast<u8>(ExecTier::kInterpreted);
-      pkt.exec_steps = static_cast<u8>(stages_.size());
-    }
-    v.valid = true;
-  }
-  FlowVerdictCache::Accumulate(acct, v, stages_.size());
-
-  const u16 group = phv.meta_u16(meta::kMulticastGroup);
-  if (group != 0) {
-    if (const auto* ports = MulticastGroup(group)) pkt.multicast_ports = *ports;
-  }
-
-  PlannedDeparseFrom(phv, pkt, plan.deparse);
-
-  if (pkt.disposition == Disposition::kDrop)
-    ++drop;
-  else
-    ++fwd;
-}
-
-void Pipeline::StreamRunOneCached(ArenaPacket& pkt, const ModuleExecPlan& plan,
-                                  FlowRowState& frow,
-                                  FlowVerdictCache::RunAccounting& acct,
-                                  ModuleId module, u64& fwd, u64& drop) {
-  ++total_processed_;
-  Phv& phv = stream_phv_;
-  phv.Clear();
-  PlannedParseInto(pkt, phv, plan.parse);
-
-  FlowVerdictCache::KeyWordArray words;
-  FlowVerdictCache::KeyWords(frow, stages_.size(), phv, words);
-  bool hit = false;
-  FlowVerdict& v = flow_cache_.SlotFor(frow, module, words, hit);
-  StreamResolveCached(pkt, phv, plan, frow, acct, module, v, hit, words, fwd,
-                      drop);
-}
-
-void Pipeline::StreamRunBurstCached(ArenaPacket* const* pkts, const u32* idx,
-                                    std::size_t n, const ModuleExecPlan& plan,
-                                    FlowRowState& frow,
-                                    FlowVerdictCache::RunAccounting& acct,
-                                    ModuleId module, u64& fwd, u64& drop) {
-  for (std::size_t off = 0; off < n; off += kBurstLanes) {
-    const std::size_t c = std::min(kBurstLanes, n - off);
-    const u32* lanes = idx + off;
-    // Phase 1: parse each lane into its own scratch PHV (it must
-    // survive to the replay phase) and gather the probing stages' key
-    // words into the contiguous scratch array; skip stages keep the
-    // pre-zeroed constant 0.
-    for (std::size_t k = 0; k < c; ++k) {
-      ArenaPacket& pkt = *pkts[lanes[k]];
-      Phv& phv = burst_phv_[k];
-      phv.Clear();
-      PlannedParseInto(pkt, phv, plan.parse);
-      FlowVerdictCache::KeyWordArray& w = burst_words_[k];
-      w = {};
-      for (u8 g = 0; g < plan.gather.count; ++g) {
-        const std::size_t s = plan.gather.stages[g];
-        const FlowStageKey& key = frow.keys[s];
-        if (key.skip) continue;
-        w[s] = key.kx.ExtractKeyWord0(phv, key.active_slots, key.pred_active) &
-               key.word_mask;
-      }
-    }
-    // Phase 2: hashed probe with slot prefetch-ahead; unresolvable
-    // lanes compact into the fallback list and their slot index rides
-    // the packet's scratch sideband into phase 3b.
-    std::size_t fallback_count = 0;
-    const std::size_t nhits = flow_cache_.BurstProbe(
-        frow, module, burst_words_.data(), c, burst_verdicts_.data(),
-        burst_fallback_.data(), fallback_count, burst_slot_.data());
-    flow_cache_.NoteBurst(c, fallback_count);
-    total_processed_ += c;
-    if (nhits != 0) flow_cache_.NoteHit(nhits);
-    // Phase 3a: replay the hit lanes while their slots are still
-    // untouched (phase 3b's fills mutate slot contents; the verdict
-    // pointers stay stable because fills never reallocate the row).
-    for (std::size_t k = 0; k < c; ++k) {
-      const FlowVerdict* v = burst_verdicts_[k];
-      if (v == nullptr) {
-        pkts[lanes[k]]->scratch = burst_slot_[k];
-        continue;
-      }
-      ArenaPacket& pkt = *pkts[lanes[k]];
-      Phv& phv = burst_phv_[k];
-      FlowVerdictCache::ApplyEffects(*v, phv);
-      pkt.exec_tier = static_cast<u8>(ExecTier::kFlowCacheHit);
-      pkt.exec_steps = 0;
-      FlowVerdictCache::Accumulate(acct, *v, stages_.size());
-      const u16 group = phv.meta_u16(meta::kMulticastGroup);
-      if (group != 0) {
-        if (const auto* ports = MulticastGroup(group))
-          pkt.multicast_ports = *ports;
-      }
-      PlannedDeparseFrom(phv, pkt, plan.deparse);
-      if (pkt.disposition == Disposition::kDrop)
-        ++drop;
-      else
-        ++fwd;
-    }
-    // Phase 3b: resolve fallback lanes in lane order — each re-probes
-    // its slot (hash carried in the scratch sideband) against the
-    // then-current content, so outcomes, fills and eviction bookkeeping
-    // land exactly as the scalar loop would produce them.
-    for (std::size_t f = 0; f < fallback_count; ++f) {
-      const std::size_t k = burst_fallback_[f];
-      ArenaPacket& pkt = *pkts[lanes[k]];
-      bool hit = false;
-      FlowVerdict& v = FlowVerdictCache::SlotAt(
-          frow, static_cast<std::size_t>(pkt.scratch), module, burst_words_[k],
-          hit);
-      StreamResolveCached(pkt, burst_phv_[k], plan, frow, acct, module, v, hit,
-                          burst_words_[k], fwd, drop);
-    }
-  }
-}
-
-void Pipeline::StreamRunSpan(ArenaPacket* const* pkts, const u32* idx,
-                             std::size_t n, const ModuleExecPlan& plan,
-                             u64& fwd, u64& drop) {
-  if (kernels_enabled_ && !plan.kernel.wide_or_ternary &&
-      BuildKernelRun(stages_.data(), stages_.size(), run_ctx_.data(), plan,
-                     kernel_run_)) {
-    const u8 shape = KernelShapeId(kernel_run_.num_steps, plan.kernel.stateful,
-                                   plan.kernel.multi_slot, false);
-    if (const StreamKernelFn fn = StreamKernelRegistry()[shape]) {
-      StreamBatchCtx ctx;
-      ctx.pkts = pkts;
-      ctx.idx = idx;
-      ctx.n = n;
-      ctx.mcast = &mcast_groups_;
-      ctx.fwd = &fwd;
-      ctx.drop = &drop;
-      ctx.snapshot = &kernel_snapshot_scratch_;
-      ctx.work = &stream_phv_;
-      fn(kernel_run_, ctx);
-      FlushKernelCounters(stages_.data(), kernel_run_);
-      total_processed_ += n;
-      kernel_pkts_.Add(n);
-      kernel_shape_pkts_[shape].Add(n);
-      for (std::size_t k = 0; k < n; ++k) {
-        pkts[idx[k]]->exec_tier = static_cast<u8>(ExecTier::kKernel);
-        pkts[idx[k]]->exec_steps = kernel_run_.num_steps;
-      }
-      return;
-    }
-  }
-  kernel_fallback_pkts_.Add(n);
-  for (std::size_t k = 0; k < n; ++k)
-    StreamRunOne(*pkts[idx[k]], plan, fwd, drop);
-}
-
-void Pipeline::ProcessStreamBurst(ArenaPacket* const* pkts, std::size_t n) {
-  // Same fused classify + module-run structure as ProcessBatchInto, over
-  // in-place arena buffers: spans of consecutive same-tenant data
-  // packets execute through the identical three-tier ladder the moment
-  // the tenant changes.  The filter's round-robin cursor and drop
-  // counters advance exactly as on the batched path.
-  data_idx_scratch_.clear();
-  std::size_t span_start = 0;  // index into data_idx_scratch_
-  ModuleId span_module(0);
-  for (std::size_t i = 0; i <= n; ++i) {
-    if (i < n) {
-      // ArenaPacket's byte array is its first member: one prefetch
-      // covers the headers, a second at +kDataRoom the sidebands.
-      if (i + 4 < n) {
-        const char* np = reinterpret_cast<const char*>(pkts[i + 4]);
-        __builtin_prefetch(np);
-        __builtin_prefetch(np + ArenaPacket::kDataRoom);
-      }
-      ArenaPacket& pkt = *pkts[i];
-
-      // Same sideband reset as Process(): no forwarding decision
-      // survives from a previous device.
-      pkt.disposition = Disposition::kForward;
-      pkt.egress_port = 0;
-      pkt.multicast_ports.clear();
-      pkt.exec_tier = static_cast<u8>(ExecTier::kNone);
-      pkt.exec_steps = 0;
-
-      const FilterVerdict verdict = filter_.Classify(pkt);
-      pkt.verdict = static_cast<u8>(verdict);
-      if (verdict != FilterVerdict::kData) {
-        if (verdict == FilterVerdict::kDropBitmap)
-          ++dropped_[pkt.vid().value()];
-        continue;
-      }
-      const ModuleId vid = pkt.vid();
-      if (data_idx_scratch_.size() == span_start || vid == span_module) {
-        span_module = vid;
-        data_idx_scratch_.push_back(static_cast<u32>(i));
-        continue;
-      }
-    } else if (data_idx_scratch_.size() == span_start) {
-      break;  // end of burst, no span left to flush
-    }
-
-    const ModuleId module = span_module;
-    const std::size_t a = span_start;
-    const std::size_t b = data_idx_scratch_.size();
-
-    const ModuleExecPlan& plan = ExecPlanFor(module);
-    for (std::size_t s = 0; s < stages_.size(); ++s)
-      stages_[s].BeginRun(module, b - a, run_ctx_[s]);
-    u64& fwd = forwarded_[module.value()];
-    u64& drop = dropped_[module.value()];
-
-    const std::size_t row = parser_.table().IndexFor(module);
-    FlowRowState& frow = flow_cache_.EnsureRow(
-        row, exec_plans_[row].built_at_version, stages_.data(),
-        stages_.size(), plan);
-    if (frow.eligible) {
-      FlowVerdictCache::RunAccounting acct;
-      if (burst_probe_enabled_ && b - a >= 2) {
-        StreamRunBurstCached(pkts, data_idx_scratch_.data() + a, b - a, plan,
-                             frow, acct, module, fwd, drop);
-      } else {
-        for (std::size_t k = a; k < b; ++k) {
-          StreamRunOneCached(*pkts[data_idx_scratch_[k]], plan, frow, acct,
-                             module, fwd, drop);
-        }
-      }
-      FlowVerdictCache::FlushAccounting(acct, frow, stages_.data(),
-                                        stages_.size());
-    } else {
-      StreamRunSpan(pkts, data_idx_scratch_.data() + a, b - a, plan, fwd,
-                    drop);
-    }
-    span_start = b;
-    if (i < n) {
-      span_module = pkts[i]->vid();
-      data_idx_scratch_.push_back(static_cast<u32>(i));
-    }
-  }
 }
 
 void Pipeline::ApplyWrite(const ConfigWrite& write) {

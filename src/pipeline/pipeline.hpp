@@ -3,6 +3,13 @@
 // sink.  This class implements the *functional* behaviour; per-cycle
 // timing lives in sim/ (the timing model shares this object's structural
 // parameters).
+//
+// Packets run through ONE execution ladder — flow-verdict cache ->
+// specialized kernel -> interpreted plan — instantiated for both packet
+// types: the batched API (Process / ProcessBatchInto, owned Packets) and
+// the streaming API (ProcessStreamBurst, in-place ArenaPackets) are two
+// entry points into the same templated burst loop.  ProcessUnplanned
+// is the one semantic reference every ladder tier is pinned against.
 #pragma once
 
 #include <array>
@@ -24,12 +31,15 @@
 
 namespace menshen {
 
+class ArenaPacket;  // packet/arena.hpp
+
 /// Outcome of running one packet through the pipeline.
 struct PipelineResult {
   FilterVerdict filter_verdict = FilterVerdict::kData;
   /// Present iff the packet traversed the match-action pipeline.
   std::optional<Packet> output;
-  /// PHV as it left the last stage (for inspection by tests/examples).
+  /// PHV as it left the last stage — filled only by ProcessUnplanned
+  /// (the ladder parses into reused scratch PHVs and emits none).
   std::optional<Phv> final_phv;
   /// Execution-ladder tier that resolved the packet (common/
   /// exec_tier.hpp ExecTier as u8; kNone for filtered packets) and the
@@ -46,8 +56,7 @@ class Pipeline {
   /// Runs one data packet through filter, parser, stages and deparser.
   /// Reconfiguration packets reaching the filter from the data path are
   /// NOT applied here — the caller (config/DaisyChain) owns that path.
-  /// Uses the compiled execution plans (a run of length one); identical
-  /// per packet to the batched path below.
+  /// The one-packet case of ProcessBatchInto.
   PipelineResult Process(Packet pkt);
 
   /// The unplanned reference path: linear full parse, per-packet overlay
@@ -58,16 +67,15 @@ class Pipeline {
   /// are exactly what liveness pruning proves unobservable.
   PipelineResult ProcessUnplanned(Packet pkt);
 
-  /// Batched hot path: processes every packet of `batch` in order,
-  /// appending one PipelineResult per packet to `out`.  Packets are moved
-  /// into their results, and one PHV plus the per-stage scratch buffers
-  /// are reused across the whole batch, so the steady state performs no
-  /// per-packet allocation.  The batch is executed as *module runs* —
+  /// Batched entry point: runs every packet of `batch` through the
+  /// ladder in order, then appends one PipelineResult per packet to
+  /// `out`, filled from the packet's sidebands; data packets move into
+  /// their result's `output`.  The batch is executed as *module runs* —
   /// maximal spans of consecutive same-tenant data packets — with the
   /// per-stage overlay lookups, key plans, stateful segment bases and
-  /// the module's parse/deparse plans resolved once per run.  Behaviour
-  /// per packet is identical to Process() (pinned by the dataplane
-  /// differential test).
+  /// the module's parse/deparse plans resolved once per run, and the
+  /// scratch PHVs reused throughout, so the steady state performs no
+  /// per-packet allocation.
   void ProcessBatchInto(std::vector<Packet>&& batch,
                         std::vector<PipelineResult>& out);
 
@@ -75,15 +83,11 @@ class Pipeline {
   [[nodiscard]] std::vector<PipelineResult> ProcessBatch(
       std::vector<Packet>&& batch);
 
-  /// Streaming hot path: processes a burst of arena packets in place, in
-  /// order — no PipelineResult, no PHV copy-out, no packet move.  Each
-  /// packet's bytes are rewritten by the planned deparse and its verdict
-  /// / disposition / egress sidebands are filled for the caller to act
-  /// on (enqueue to egress, recycle on drop).  Runs the same fused
-  /// classify + module-run structure as ProcessBatchInto over the same
-  /// three-tier ladder (flow-verdict cache -> specialized kernels ->
-  /// interpreted plans), so tenant-observable bytes are identical to the
-  /// batched path (pinned by tests/test_stream.cpp).
+  /// Streaming entry point: runs a burst of arena packets through the
+  /// same ladder in place, in order — no PipelineResult, no packet move.
+  /// Each packet's bytes are rewritten by the planned deparse and its
+  /// verdict / disposition / egress / tier sidebands are filled for the
+  /// caller to act on (enqueue to egress, recycle on drop).
   void ProcessStreamBurst(ArenaPacket* const* pkts, std::size_t n);
 
   /// The compiled execution plan for `module`'s overlay row, rebuilt
@@ -96,7 +100,7 @@ class Pipeline {
 
   /// The flow-verdict cache state for `module`'s overlay row, refreshed
   /// to the current configuration (same stamp discipline as ExecPlanFor).
-  /// Exposed for tests; the batched path refreshes rows itself.
+  /// Exposed for tests; the ladder refreshes rows itself.
   [[nodiscard]] FlowRowState& FlowRowFor(ModuleId module);
 
   /// Per-shard flow-verdict cache (pipeline/flow_cache.hpp).  Mutable
@@ -105,24 +109,6 @@ class Pipeline {
   [[nodiscard]] FlowVerdictCache& flow_cache() { return flow_cache_; }
   [[nodiscard]] FlowCacheStats FlowCacheSnapshot() const {
     return flow_cache_.Snapshot();
-  }
-
-  /// Specialized-kernel dispatch knob (pipeline/kernels.hpp).  On by
-  /// default; tests disable it to pin the kernels byte-identical to the
-  /// interpreted plan path on the same object.
-  void SetKernelsEnabled(bool enabled) { kernels_enabled_ = enabled; }
-  [[nodiscard]] bool kernels_enabled() const { return kernels_enabled_; }
-
-  /// Burst-probe dispatch knob: phase-structured flow-cache probing on
-  /// eligible spans (gather every lane's key words, hashed probe with
-  /// slot prefetch-ahead, replay hits / resolve compacted fallback
-  /// lanes in order — FlowVerdictCache::BurstProbe).  On by default;
-  /// the per-packet scalar probe is retained as the differential
-  /// reference (tests/test_burst_probe.cpp pins the two byte- and
-  /// counter-identical).
-  void SetBurstProbeEnabled(bool enabled) { burst_probe_enabled_ = enabled; }
-  [[nodiscard]] bool burst_probe_enabled() const {
-    return burst_probe_enabled_;
   }
 
   /// Kernel-dispatch statistics (relaxed counters: safe to read while a
@@ -179,77 +165,52 @@ class Pipeline {
   /// derives from — monotonic, so a stale plan can never alias a
   /// current stamp.
   [[nodiscard]] u64 ConfigVersionSum() const;
-  /// Runs one already-classified data packet through parse, stages and
-  /// deparse under the resolved run contexts, filling `result`.
-  void RunOne(Packet& pkt, PipelineResult& result, const ModuleExecPlan& plan,
-              u64& fwd, u64& drop);
-  /// Cached-row variant of RunOne: parse, probe the flow-verdict cache,
-  /// replay (or build) the verdict, deparse.  Never calls ProcessRun;
-  /// counter deltas accumulate into `acct` (flushed once per run).
-  void RunOneCached(Packet& pkt, PipelineResult& result,
-                    const ModuleExecPlan& plan, FlowRowState& frow,
-                    FlowVerdictCache::RunAccounting& acct, ModuleId module,
-                    u64& fwd, u64& drop);
-  /// Replay tail of RunOneCached for a verdict already resolved for the
-  /// whole run (all-constant rows: every packet shares the all-zero key
-  /// words, so per-packet extraction/hashing/probing is redundant).
-  /// Callers account hits and counter deltas at run level.
-  void RunOneReplay(Packet& pkt, PipelineResult& result,
-                    const ModuleExecPlan& plan, const FlowVerdict& v, u64& fwd,
-                    u64& drop);
-  /// Executes one module run (the `idx[0..n)` packets of `batch`, with
-  /// results at the same indices of `out`) through the specialized
+  /// The execution ladder, instantiated for Packet and ArenaPacket.  One
+  /// fused pass classifies packets in arrival order (the filter's
+  /// round-robin buffer-tag cursor and drop counters advance per packet;
+  /// non-data packets finish outright and never break a run) and
+  /// executes each module run the moment the tenant changes, while its
+  /// packets are still cache-hot.  Eligible runs go through the
+  /// burst-probed flow-verdict cache, the rest through the kernel for
+  /// the run's shape or the interpreted plan.  Writes every packet's
+  /// bytes and verdict / disposition / tier sidebands in place.
+  template <typename PacketT>
+  void RunBurst(PacketT* const* pkts, std::size_t n);
+  /// Executes one module run (`pkts[idx[0..n)]`) through the specialized
   /// kernel selected for the run's shape, or through the interpreted
-  /// RunOne loop when the shape has no registered kernel (wide/ternary)
-  /// or kernels are disabled.  BeginRun must already have resolved the
-  /// run contexts.
-  void RunSpan(Packet* batch, PipelineResult* out, const u32* idx,
-               std::size_t n, const ModuleExecPlan& plan, u64& fwd,
-               u64& drop);
-  /// Streaming siblings of RunOne/RunOneCached/RunSpan: arena packets
-  /// mutated in place through `stream_phv_` (one reused scratch PHV per
-  /// pipeline — the streaming path emits no PHV).
-  void StreamRunOne(ArenaPacket& pkt, const ModuleExecPlan& plan, u64& fwd,
-                    u64& drop);
-  void StreamRunOneCached(ArenaPacket& pkt, const ModuleExecPlan& plan,
-                          FlowRowState& frow,
-                          FlowVerdictCache::RunAccounting& acct,
-                          ModuleId module, u64& fwd, u64& drop);
-  void StreamRunSpan(ArenaPacket* const* pkts, const u32* idx, std::size_t n,
-                     const ModuleExecPlan& plan, u64& fwd, u64& drop);
-  /// Post-probe tails shared by the scalar and burst cached paths:
-  /// resolve one packet given its probed slot and hit flag — replay on
-  /// a hit, fill through the kernel/plan ladder on a miss, then
-  /// accounting, multicast, deparse and the fwd/drop counters.  Neither
-  /// touches total_processed_; the caller accounts lanes.
-  void StreamResolveCached(ArenaPacket& pkt, Phv& phv,
-                           const ModuleExecPlan& plan, FlowRowState& frow,
-                           FlowVerdictCache::RunAccounting& acct,
-                           ModuleId module, FlowVerdict& v, bool hit,
-                           const FlowVerdictCache::KeyWordArray& words,
-                           u64& fwd, u64& drop);
-  void RunResolveCached(Packet& pkt, PipelineResult& result, Phv& phv,
-                        const ModuleExecPlan& plan, FlowRowState& frow,
-                        FlowVerdictCache::RunAccounting& acct, ModuleId module,
-                        FlowVerdict& v, bool hit,
-                        const FlowVerdictCache::KeyWordArray& words, u64& fwd,
-                        u64& drop);
-  /// Burst-probed variants of the eligible-span loops: process the span
-  /// in kBurstLanes-sized chunks through the three-phase burst path
-  /// (gather -> BurstProbe -> replay hits / resolve fallbacks in lane
-  /// order).  Chunk boundaries behave exactly like scalar boundaries —
-  /// fills from one chunk are visible to the next chunk's probes — so
-  /// outcomes and counters match the scalar loop packet for packet.
-  void StreamRunBurstCached(ArenaPacket* const* pkts, const u32* idx,
-                            std::size_t n, const ModuleExecPlan& plan,
-                            FlowRowState& frow,
-                            FlowVerdictCache::RunAccounting& acct,
-                            ModuleId module, u64& fwd, u64& drop);
-  void BatchRunBurstCached(Packet* batch, PipelineResult* out, const u32* idx,
-                           std::size_t n, const ModuleExecPlan& plan,
-                           FlowRowState& frow,
-                           FlowVerdictCache::RunAccounting& acct,
-                           ModuleId module, u64& fwd, u64& drop);
+  /// RunOne loop when the shape has no registered kernel (wide/ternary).
+  /// BeginRun must already have resolved the run contexts.
+  template <typename PacketT>
+  void RunSpan(PacketT* const* pkts, const u32* idx, std::size_t n,
+               const ModuleExecPlan& plan, u64& fwd, u64& drop);
+  /// Interpreted plan path for one packet: parse, ProcessRun per stage.
+  template <typename PacketT>
+  void RunOne(PacketT& pkt, const ModuleExecPlan& plan, u64& fwd, u64& drop);
+  /// Flow-cache path for an eligible run, in kBurstLanes-sized chunks:
+  /// gather every lane's key words, BurstProbe with slot prefetch-ahead,
+  /// replay hit lanes, then resolve the compacted fallback lanes in lane
+  /// order.  Chunk boundaries behave exactly like per-packet boundaries —
+  /// fills from one chunk are visible to the next chunk's probes — so a
+  /// burst of one is the sequential probe order.
+  template <typename PacketT>
+  void RunSpanCached(PacketT* const* pkts, const u32* idx, std::size_t n,
+                     const ModuleExecPlan& plan, FlowRowState& frow,
+                     FlowVerdictCache::RunAccounting& acct, ModuleId module,
+                     u64& fwd, u64& drop);
+  /// Resolves one fallback lane given its re-probed slot and hit flag:
+  /// replay on a hit, fill through the recording kernel (or the
+  /// interpreted BuildVerdict) on a miss, then the shared tail.
+  template <typename PacketT>
+  void ResolveCached(PacketT& pkt, Phv& phv, const ModuleExecPlan& plan,
+                     FlowRowState& frow, FlowVerdictCache::RunAccounting& acct,
+                     ModuleId module, FlowVerdict& v, bool hit,
+                     const FlowVerdictCache::KeyWordArray& words, u64& fwd,
+                     u64& drop);
+  /// Shared tail of every tier: multicast resolution, planned deparse,
+  /// forwarded/dropped accounting.
+  template <typename PacketT>
+  void Emit(PacketT& pkt, const Phv& phv, const DeparsePlan& deparse,
+            u64& fwd, u64& drop);
 
   PipelineTiming timing_;
   PacketFilter filter_;
@@ -275,28 +236,27 @@ class Pipeline {
   /// results for rows whose reachable actions are provably stateless.
   FlowVerdictCache flow_cache_;
 
-  // Batch scratch (ProcessBatchInto): per-stage run contexts and the
-  // pass-one data-packet index list.  Never part of observable state.
+  // Ladder scratch (RunBurst): per-stage run contexts, the data-packet
+  // index list, and ProcessBatchInto's pointer array over the batch.
+  // Never part of observable state.
   std::vector<Stage::ModuleRunContext> run_ctx_ =
       std::vector<Stage::ModuleRunContext>(params::kNumStages);
   std::vector<u32> data_idx_scratch_;
+  std::vector<Packet*> batch_ptrs_;
 
   // Kernel dispatch (pipeline/kernels.hpp): the per-run step list and
   // the multi-slot snapshot scratch are reused across runs; per-shape
   // packet counters feed ShardStats/DumpDataplaneStats.
-  bool kernels_enabled_ = true;
   KernelRun kernel_run_;
   Phv kernel_snapshot_scratch_;
-  // Streaming scratch PHV (ProcessStreamBurst): Clear()ed and reused per
-  // packet — the streaming path never emits a PHV.
-  Phv stream_phv_;
+  // Per-packet scratch PHV of the kernel and interpreted tiers:
+  // Clear()ed and reused per packet — the ladder never emits a PHV.
+  Phv phv_;
   // Burst-probe scratch, sized to one chunk: per-lane gathered key
   // words, probe verdict pointers, compacted fallback lane list, slot
-  // indices, and (streaming only — the batched path parses into each
-  // result's emplaced PHV) the per-lane parsed PHVs that must survive
-  // from the gather phase to the replay phase.
+  // indices, and the per-lane parsed PHVs that must survive from the
+  // gather phase to the replay phase.
   static constexpr std::size_t kBurstLanes = 64;
-  bool burst_probe_enabled_ = true;
   std::array<FlowVerdictCache::KeyWordArray, kBurstLanes> burst_words_{};
   std::array<const FlowVerdict*, kBurstLanes> burst_verdicts_{};
   std::array<u32, kBurstLanes> burst_fallback_{};

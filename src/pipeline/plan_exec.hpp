@@ -1,26 +1,40 @@
 // Inline executors for compiled parse/deparse plans.
 //
 // The planned byte-move loops and the per-packet metadata/disposition
-// epilogues are shared verbatim by the interpreted plan path
-// (pipeline/parser.cpp) and the specialized straight-line kernels
-// (pipeline/kernels.cpp) — one definition, so the two paths cannot
-// drift apart byte-wise.
+// epilogues are shared verbatim by every tier of the execution ladder
+// (pipeline/pipeline.cpp, the straight-line kernels in
+// pipeline/kernels.cpp) and by Parser::ParseIntoPlanned — one
+// definition, templated over the packet type, so no two paths can drift
+// apart byte-wise.
 #pragma once
 
 #include <algorithm>
 #include <cstring>
 
+#include "packet/arena.hpp"
 #include "packet/packet.hpp"
 #include "phv/phv.hpp"
 #include "pipeline/exec_plan.hpp"
 
 namespace menshen {
 
+/// Prefetch hint for a packet a few lanes ahead of a burst loop.  An
+/// ArenaPacket's byte array is its first member, so one prefetch covers
+/// the headers and a second at +kDataRoom the sidebands; a Packet's
+/// bytes sit behind its heap ByteBuffer pointer.
+inline void PrefetchPacket(const ArenaPacket& pkt) {
+  const char* p = reinterpret_cast<const char*>(&pkt);
+  __builtin_prefetch(p);
+  __builtin_prefetch(p + ArenaPacket::kDataRoom);
+}
+inline void PrefetchPacket(const Packet& pkt) {
+  __builtin_prefetch(pkt.bytes().bytes().data());
+}
+
 /// Metadata the pipeline provides on every packet (section 4.3), shared
 /// by every parse path.  Templated over the packet representation: the
-/// batched path hands Packet, the streaming path hands ArenaPacket —
-/// both expose the same size/bytes/sideband surface, so the two paths
-/// share one definition and cannot drift byte-wise.
+/// batched API hands Packet, the streaming API hands ArenaPacket —
+/// both expose the same size/bytes/sideband surface.
 template <typename PacketT>
 inline void FillPipelineMetadata(const PacketT& pkt, Phv& phv) {
   phv.set_meta_u16(meta::kSrcPort, pkt.ingress_port);
@@ -43,9 +57,8 @@ inline void ApplyDisposition(const Phv& phv, PacketT& pkt) {
 }
 
 /// Runs a compiled parse plan into `phv`, which the caller guarantees is
-/// already all-zero (a freshly constructed Phv, or one Clear()ed) — the
-/// hot paths parse straight into the result's emplaced PHV and skip the
-/// redundant re-zeroing.  Containers whose parse was pruned stay zero.
+/// already all-zero (a freshly constructed Phv, or one Clear()ed).
+/// Containers whose parse was pruned stay zero.
 template <typename PacketT>
 inline void PlannedParseInto(const PacketT& pkt, Phv& phv,
                              const ParsePlan& plan) {

@@ -125,7 +125,7 @@ Controller::TickReport Controller::TickOnce() {
         shard_counters[s].flow_cache_hits, shard_counters[s].flow_cache_misses,
         shard_counters[s].flow_cache_occupancy, shard_counters[s].kernel_pkts,
         shard_counters[s].kernel_fallback_pkts, shard_counters[s].stream_pkts,
-        shard_counters[s].producer_stalls, shard_counters[s].steals});
+        shard_counters[s].producer_stalls});
   }
   // Skew = max/mean of the per-shard busy-time deltas: 1.0 when the work
   // is spread evenly, num_shards when one shard does everything.
@@ -211,7 +211,6 @@ Controller::TickReport Controller::TickOnce() {
                 std::to_string(sl.kernel_pkts + sl.kernel_fallback_pkts);
       if (sl.stream_pkts != 0)
         line += " st=" + std::to_string(sl.stream_pkts);
-      if (sl.steals != 0) line += " steal=" + std::to_string(sl.steals);
     }
     if (report.producer_stalls != 0)
       line += " | stalls " + std::to_string(report.producer_stalls) +

@@ -122,12 +122,10 @@ class Controller {
     /// view of how much of the shard's uncached load the kernels take.
     u64 kernel_pkts = 0;
     u64 kernel_fallback_pkts = 0;
-    /// Streaming path (cumulative): packets run to completion, producer
-    /// pushes that found the streaming ring full, and batched
-    /// sub-batches this worker stole from a neighbour.
+    /// Streaming path (cumulative): packets run to completion and
+    /// producer pushes that found the streaming ring full.
     u64 stream_pkts = 0;
     u64 producer_stalls = 0;
-    u64 steals = 0;
   };
 
   /// One tenant's merged p99 packet latency as observed by a tick

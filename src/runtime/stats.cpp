@@ -111,7 +111,6 @@ void FillShardRows(const std::vector<Dataplane::ShardCounters>& counters,
     row.egress_pkts = c.egress_pkts;
     row.egress_depth = c.egress_depth;
     row.producer_stalls = c.producer_stalls;
-    row.steals = c.steals;
     s.shards.push_back(row);
     for (std::size_t sh = 0; sh < kKernelShapeCount; ++sh)
       s.kernel_shape_pkts[sh] += c.kernel_shape_pkts[sh];
@@ -196,23 +195,22 @@ std::string DumpDataplaneStats(const Dataplane& dp) {
          std::to_string(s.migrations) + " tenant migration(s), " +
          std::to_string(s.resizes) + " resize(s)\n";
   // One aligned per-shard table covering every counter ShardStats
-  // carries: traffic, queueing, flow cache, kernels, streaming/stealing.
+  // carries: traffic, queueing, flow cache, kernels, streaming.
   {
     char line[400];
     std::snprintf(line, sizeof line,
                   "  %5s %9s %9s %8s %6s %8s %5s %9s  %9s %9s %6s %6s  "
-                  "%9s %8s %7s  %8s %9s %9s %5s %6s %6s\n",
+                  "%9s %8s %7s  %8s %9s %9s %5s %6s\n",
                   "shard", "packets", "fwd", "drop", "filt", "batches", "queue",
                   "busy_us", "fc_hit", "fc_miss", "fc_ev", "fc_occ", "kernel",
                   "interp", "fills", "sbursts", "spkts", "epkts", "eq",
-                  "stalls", "steals");
+                  "stalls");
     out += line;
     for (const ShardStats& sh : s.shards) {
       std::snprintf(
           line, sizeof line,
           "  %5zu %9llu %9llu %8llu %6llu %8llu %5llu %9llu  %9llu %9llu "
-          "%6llu %6llu  %9llu %8llu %7llu  %8llu %9llu %9llu %5llu %6llu "
-          "%6llu\n",
+          "%6llu %6llu  %9llu %8llu %7llu  %8llu %9llu %9llu %5llu %6llu\n",
           sh.shard, static_cast<unsigned long long>(sh.packets),
           static_cast<unsigned long long>(sh.forwarded),
           static_cast<unsigned long long>(sh.dropped),
@@ -231,8 +229,7 @@ std::string DumpDataplaneStats(const Dataplane& dp) {
           static_cast<unsigned long long>(sh.stream_pkts),
           static_cast<unsigned long long>(sh.egress_pkts),
           static_cast<unsigned long long>(sh.egress_depth),
-          static_cast<unsigned long long>(sh.producer_stalls),
-          static_cast<unsigned long long>(sh.steals));
+          static_cast<unsigned long long>(sh.producer_stalls));
       out += line;
     }
   }

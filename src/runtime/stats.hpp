@@ -74,14 +74,12 @@ struct ShardStats {
   u64 kernel_record_fills = 0;
   /// Streaming (run-to-completion) path: bursts and packets executed,
   /// packets emitted to this shard's egress queue, egress occupancy at
-  /// snapshot time, producer pushes that found the ring full, and
-  /// batched sub-batches this worker stole from a backlogged neighbour.
+  /// snapshot time, and producer pushes that found the ring full.
   u64 stream_bursts = 0;
   u64 stream_pkts = 0;
   u64 egress_pkts = 0;
   u64 egress_depth = 0;
   u64 producer_stalls = 0;
-  u64 steals = 0;
 
   [[nodiscard]] double flow_cache_hit_ratio() const {
     const u64 probes = flow_cache_hits + flow_cache_misses;

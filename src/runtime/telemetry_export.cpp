@@ -122,7 +122,6 @@ std::vector<MetricSample> BuildMetricSamples(const DataplaneStats& s,
     add("menshen_egress_pkts_total", sh.egress_pkts);
     add("menshen_egress_depth", sh.egress_depth);
     add("menshen_producer_stalls_total", sh.producer_stalls);
-    add("menshen_steals_total", sh.steals);
   }
 
   // --- per-shard telemetry: latency, tiers, traces ------------------------

@@ -89,17 +89,8 @@ void ExpectSameResult(const PipelineResult& expected, const PipelineResult& got,
         << "packet " << index;
     EXPECT_EQ(expected.output->egress_port, got.output->egress_port)
         << "packet " << index;
-  }
-  ASSERT_EQ(expected.final_phv.has_value(), got.final_phv.has_value())
-      << "packet " << index;
-  if (expected.final_phv) {
-    // Buffer tags are per-pipeline-instance scheduling state, not
-    // tenant-observable output — normalize before comparing.
-    Phv a = *expected.final_phv;
-    Phv b = *got.final_phv;
-    a.set_meta_u8(meta::kBufferTag, 0);
-    b.set_meta_u8(meta::kBufferTag, 0);
-    EXPECT_TRUE(a == b) << "packet " << index;
+    EXPECT_EQ(expected.output->multicast_ports, got.output->multicast_ports)
+        << "packet " << index;
   }
 }
 

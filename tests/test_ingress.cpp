@@ -334,87 +334,6 @@ TEST(Ingress, FourProducersConcurrentEpochsAndMigrationsByteIdentical) {
             u64{kProducers} * kTicketsPerProducer * kPerTicket);
 }
 
-// --- Work stealing ------------------------------------------------------------
-
-TEST(Ingress, IdleWorkerStealsStatelessSubBatchesByteIdentical) {
-  const std::vector<CompiledModule> images = CompileTenants();
-  // Two shards, one hot: every ticket targets one calc (stateless)
-  // tenant, so its shard's ring backs up while the other worker idles —
-  // the steal path's habitat.  Sub-batches are above steal_min_packets.
-  // Single-deparser timing: with several deparsers the filter's
-  // round-robin buffer tags would diverge across replicas, so the
-  // dataplane marks nothing stealable (sidebands must stay identical).
-  Dataplane dp(DataplaneConfig{.num_shards = 2,
-                               .timing = UnoptimizedTiming(),
-                               .worker_threads = true,
-                               .ingress_queue_depth = 64});
-  for (const CompiledModule& m : images) dp.ApplyWrites(m.AllWrites());
-
-  Pipeline reference;
-  for (const CompiledModule& m : images)
-    for (const ConfigWrite& w : m.AllWrites()) reference.ApplyWrite(w);
-
-  constexpr u16 kVid = 2;  // calc: kernel.stateful == false, stealable
-  constexpr std::size_t kPerTicket = 64;
-  u64 steals = 0;
-  for (int round = 0; round < 200 && steals == 0; ++round) {
-    std::vector<std::future<std::vector<PipelineResult>>> futures;
-    std::vector<std::vector<Packet>> batches;
-    for (int t = 0; t < 8; ++t) {
-      BatchTicket ticket;
-      for (std::size_t i = 0; i < kPerTicket; ++i)
-        ticket.batch.push_back(
-            CalcPacket(kVid, apps::kCalcOpAdd,
-                       static_cast<u32>(round * 1000 + t * 100 + i), 1));
-      batches.push_back(ticket.batch);
-      futures.push_back(dp.Submit(std::move(ticket)));
-    }
-    for (std::size_t t = 0; t < futures.size(); ++t) {
-      const std::vector<PipelineResult> got = futures[t].get();
-      ASSERT_EQ(got.size(), kPerTicket);
-      for (std::size_t i = 0; i < got.size(); ++i)
-        ExpectSameResult(reference.Process(batches[t][i]), got[i], i);
-    }
-    steals = 0;
-    for (const Dataplane::ShardCounters& c : dp.CountersSnapshotRelaxed())
-      steals += c.steals;
-  }
-  // Results above were byte-checked whether or not a steal landed; on
-  // this many contended rounds the thief essentially always fires.
-  EXPECT_GT(steals, 0u);
-}
-
-TEST(Ingress, StatefulTenantsAreNeverStolen) {
-  const std::vector<CompiledModule> images = CompileTenants();
-  Dataplane dp(DataplaneConfig{.num_shards = 2,
-                               .timing = UnoptimizedTiming(),
-                               .worker_threads = true,
-                               .ingress_queue_depth = 64});
-  for (const CompiledModule& m : images) dp.ApplyWrites(m.AllWrites());
-
-  // NetChain owns a sequencer register: running its sub-batch on the
-  // thief's replica would fork the state.  The stealable bit must stay
-  // off no matter how contended its home shard gets.
-  constexpr u16 kVid = 4;
-  std::vector<std::future<std::vector<PipelineResult>>> futures;
-  for (int t = 0; t < 64; ++t) {
-    BatchTicket ticket;
-    for (std::size_t i = 0; i < 64; ++i)
-      ticket.batch.push_back(NetChainPacket(kVid, apps::kNetChainOpSeq));
-    futures.push_back(dp.Submit(std::move(ticket)));
-  }
-  u32 expected_seq = 1;
-  for (auto& f : futures)
-    for (const PipelineResult& r : f.get()) {
-      ASSERT_TRUE(r.output.has_value());
-      EXPECT_EQ(NetChainSeq(*r.output), expected_seq++);
-    }
-  u64 steals = 0;
-  for (const Dataplane::ShardCounters& c : dp.CountersSnapshotRelaxed())
-    steals += c.steals;
-  EXPECT_EQ(steals, 0u);
-}
-
 // --- Relaxed stats path (the controller tick's view) --------------------------
 
 TEST(Ingress, RelaxedStatsAgreeWithExactWhenQuiescent) {

@@ -1,21 +1,22 @@
 // Differential and exhaustiveness tests for the specialized
 // straight-line kernels (pipeline/kernels).
 //
-// The kernels are a third rewrite of the observable per-packet function:
-// ProcessUnplanned (linear reference) -> interpreted compiled plans
-// (pipeline/exec_plan) -> per-shape fused kernels.  Everything a tenant
-// can observe — output bytes, disposition, egress, multicast set,
-// per-tenant counters, and every CAM/TCAM/stage counter — must be
-// byte-identical across all three, under randomized configurations,
-// epoch commits, direct writes, tenant migrations and ResizeShards.
-// Kernel-vs-interpreter runs additionally pin the final PHV, since both
-// are planned paths.  Run under ASAN and TSAN in CI like test_exec_plan.
+// The kernels rewrite the observable per-packet function of
+// ProcessUnplanned (the linear reference) as per-shape fused loops;
+// wide/ternary rows stay on the interpreted compiled plan
+// (pipeline/exec_plan).  Everything a tenant can observe — output
+// bytes, disposition, egress, multicast set, per-tenant counters, and
+// every CAM/TCAM/stage counter — must match the reference under
+// randomized configurations, epoch commits, direct writes, tenant
+// migrations and ResizeShards.  Run under ASAN and TSAN in CI like
+// test_exec_plan.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "common/rng.hpp"
 #include "dataplane/dataplane.hpp"
+#include "packet/arena.hpp"
 #include "pipeline/exec_plan.hpp"
 #include "pipeline/kernels.hpp"
 #include "pipeline/pipeline.hpp"
@@ -43,13 +44,15 @@ void ExpectSameOutput(const PipelineResult& ref, const PipelineResult& got,
 //
 // The dispatch contract (Pipeline::RunSpan): a run is classified into
 // KernelShapeId(num_steps, stateful, multi_slot, wide_or_ternary) and
-// executed by KernelRegistry()[shape] when non-null, else by the
-// interpreted plan loop.  No shape may be a silent slow path: every id
-// the classifier can emit has a registered kernel, and every id it
-// cannot emit is provably routed to the fallback.
+// executed by KernelRegistry<PacketT>()[shape] when non-null, else by
+// the interpreted plan loop.  No shape may be a silent slow path: every
+// id the classifier can emit has a registered kernel — for both packet
+// types — and every id it cannot emit is provably routed to the
+// fallback.
 
-TEST(KernelSelection, EveryEmittableShapeHasARegisteredKernel) {
-  const auto& registry = KernelRegistry();
+template <typename PacketT>
+void ExpectRegistryCoversEmittableShapes() {
+  const auto& registry = KernelRegistry<PacketT>();
   for (std::size_t id = 0; id < kKernelShapeCount; ++id) {
     const u8 steps = static_cast<u8>(id & 0x7u);
     const bool wide = (id & 0x20u) != 0;
@@ -68,6 +71,11 @@ TEST(KernelSelection, EveryEmittableShapeHasARegisteredKernel) {
           << " is unreachable yet has a kernel registered";
     }
   }
+}
+
+TEST(KernelSelection, EveryEmittableShapeHasARegisteredKernel) {
+  ExpectRegistryCoversEmittableShapes<Packet>();
+  ExpectRegistryCoversEmittableShapes<ArenaPacket>();
 }
 
 TEST(KernelSelection, ShapeIdPacksAndNamesAreStable) {
@@ -134,11 +142,11 @@ TEST(KernelSelection, DispatchCountersTellKernelFromFallback) {
 
 // --- Randomized single-pipeline differential -----------------------------------
 //
-// Three pipelines under the identical random configuration stream: one
-// dispatching kernels (default), one with kernels disabled (interpreted
-// plan path), one processing through ProcessUnplanned.  Ternary
-// extractors and wide masks are thrown in so the wide/ternary fallback
-// runs interleaved with kernel runs of every reachable shape.
+// Two pipelines under the identical random configuration stream: one
+// running the execution ladder, one processing through
+// ProcessUnplanned.  Ternary extractors and wide masks are thrown in so
+// the wide/ternary fallback runs interleaved with kernel runs of every
+// reachable shape.
 
 ParserAction RandomParserAction(Rng& rng) {
   ParserAction a;
@@ -152,13 +160,10 @@ ParserAction RandomParserAction(Rng& rng) {
 TEST(KernelsDifferential, RandomConfigsMatchInterpreterAndUnplanned) {
   Rng rng(0xC0FFEE);
   Pipeline kern;
-  Pipeline interp;
   Pipeline reference;
-  interp.SetKernelsEnabled(false);
-  for (Pipeline* p : {&kern, &interp, &reference})
-    p->SetMulticastGroup(5, {3, 4, 5});
+  for (Pipeline* p : {&kern, &reference}) p->SetMulticastGroup(5, {3, 4, 5});
   const std::vector<u16> vids = {2, 3, 9, 31};
-  const auto all = {&kern, &interp, &reference};
+  const auto all = {&kern, &reference};
 
   for (int round = 0; round < 50; ++round) {
     for (int w = 0; w < 6; ++w) {
@@ -264,28 +269,14 @@ TEST(KernelsDifferential, RandomConfigsMatchInterpreterAndUnplanned) {
     }
 
     std::vector<Packet> kb = batch;
-    std::vector<Packet> ib = batch;
     const std::vector<PipelineResult> kern_out =
         kern.ProcessBatch(std::move(kb));
-    const std::vector<PipelineResult> interp_out =
-        interp.ProcessBatch(std::move(ib));
     ASSERT_EQ(kern_out.size(), batch.size());
-    ASSERT_EQ(interp_out.size(), batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
       const std::string what =
           "round " + std::to_string(round) + " packet " + std::to_string(i);
       const PipelineResult ref = reference.ProcessUnplanned(batch[i]);
       ExpectSameOutput(ref, kern_out[i], what + " (kernel vs unplanned)");
-      ExpectSameOutput(interp_out[i], kern_out[i],
-                       what + " (kernel vs interpreter)");
-      // Both planned paths also expose the same final PHV.
-      ASSERT_EQ(interp_out[i].final_phv.has_value(),
-                kern_out[i].final_phv.has_value())
-          << what;
-      if (interp_out[i].final_phv) {
-        EXPECT_TRUE(*interp_out[i].final_phv == *kern_out[i].final_phv)
-            << what;
-      }
     }
   }
 
@@ -295,26 +286,26 @@ TEST(KernelsDifferential, RandomConfigsMatchInterpreterAndUnplanned) {
   const Pipeline::KernelStats ks = kern.KernelSnapshot();
   EXPECT_GT(ks.pkts, 0u);
   EXPECT_GT(ks.fallback_pkts, 0u);
-  EXPECT_EQ(interp.KernelSnapshot().pkts, 0u);
 
-  // Every CAM/TCAM/stage counter agrees between the kernel and
-  // interpreter pipelines — the kernels' bulk counter flush is exact.
+  // Every CAM/TCAM/stage counter agrees with the per-packet reference —
+  // the kernels' and the flow cache's bulk counter flushes are exact.
   for (std::size_t s = 0; s < params::kNumStages; ++s) {
-    EXPECT_EQ(kern.stage(s).hits(), interp.stage(s).hits()) << "stage " << s;
-    EXPECT_EQ(kern.stage(s).misses(), interp.stage(s).misses())
+    EXPECT_EQ(kern.stage(s).hits(), reference.stage(s).hits())
         << "stage " << s;
-    EXPECT_EQ(kern.stage(s).cam().lookups(), interp.stage(s).cam().lookups())
+    EXPECT_EQ(kern.stage(s).misses(), reference.stage(s).misses())
         << "stage " << s;
-    EXPECT_EQ(kern.stage(s).cam().hits(), interp.stage(s).cam().hits())
+    EXPECT_EQ(kern.stage(s).cam().lookups(),
+              reference.stage(s).cam().lookups())
         << "stage " << s;
-    EXPECT_EQ(kern.stage(s).tcam().lookups(), interp.stage(s).tcam().lookups())
+    EXPECT_EQ(kern.stage(s).cam().hits(), reference.stage(s).cam().hits())
         << "stage " << s;
-    EXPECT_EQ(kern.stage(s).tcam().hits(), interp.stage(s).tcam().hits())
+    EXPECT_EQ(kern.stage(s).tcam().lookups(),
+              reference.stage(s).tcam().lookups())
+        << "stage " << s;
+    EXPECT_EQ(kern.stage(s).tcam().hits(), reference.stage(s).tcam().hits())
         << "stage " << s;
   }
   for (const u16 vid : vids) {
-    EXPECT_EQ(kern.forwarded(ModuleId(vid)), interp.forwarded(ModuleId(vid)));
-    EXPECT_EQ(kern.dropped(ModuleId(vid)), interp.dropped(ModuleId(vid)));
     EXPECT_EQ(kern.forwarded(ModuleId(vid)),
               reference.forwarded(ModuleId(vid)));
     EXPECT_EQ(kern.dropped(ModuleId(vid)), reference.dropped(ModuleId(vid)));
@@ -324,10 +315,9 @@ TEST(KernelsDifferential, RandomConfigsMatchInterpreterAndUnplanned) {
 
 // --- Dataplane differential across epochs / writes / migrations / resizes ------
 //
-// A worker-threaded dataplane (kernels on, the default) against BOTH an
-// interpreted-plan pipeline (kernels off) and the unplanned reference,
-// while epochs commit, direct writes land, tenants migrate and the
-// replica set resizes.  Stateful tenants (netchain sequencers) make any
+// A worker-threaded dataplane against the unplanned reference, while
+// epochs commit, direct writes land, tenants migrate and the replica
+// set resizes.  Stateful tenants (netchain sequencers) make any
 // state-placement divergence visible in the output bytes.
 
 TEST(KernelsDifferential, DataplaneMatchesAcrossEpochsWritesMigrationsResizes) {
@@ -351,15 +341,10 @@ TEST(KernelsDifferential, DataplaneMatchesAcrossEpochsWritesMigrationsResizes) {
   }
 
   Dataplane dp(DataplaneConfig{.num_shards = 3});
-  Pipeline interp;
-  interp.SetKernelsEnabled(false);
   Pipeline reference;
   for (const CompiledModule& m : images) {
     dp.ApplyWrites(m.AllWrites());
-    for (const ConfigWrite& w : m.AllWrites()) {
-      interp.ApplyWrite(w);
-      reference.ApplyWrite(w);
-    }
+    for (const ConfigWrite& w : m.AllWrites()) reference.ApplyWrite(w);
   }
 
   const auto random_packet = [&](u16 vid) {
@@ -380,10 +365,7 @@ TEST(KernelsDifferential, DataplaneMatchesAcrossEpochsWritesMigrationsResizes) {
         const CompiledModule& m = images[rng.Below(images.size())];
         dp.StageWrites(m.AllWrites());
         dp.CommitEpoch();
-        for (const ConfigWrite& w : m.AllWrites()) {
-          interp.ApplyWrite(w);
-          reference.ApplyWrite(w);
-        }
+        for (const ConfigWrite& w : m.AllWrites()) reference.ApplyWrite(w);
         break;
       }
       case 1: {
@@ -396,7 +378,6 @@ TEST(KernelsDifferential, DataplaneMatchesAcrossEpochsWritesMigrationsResizes) {
         const ConfigWrite w{ResourceKind::kParserTable, 0,
                             static_cast<u8>(row), e.Encode()};
         dp.ApplyWrite(w);
-        interp.ApplyWrite(w);
         reference.ApplyWrite(w);
         break;
       }
@@ -425,16 +406,15 @@ TEST(KernelsDifferential, DataplaneMatchesAcrossEpochsWritesMigrationsResizes) {
     for (std::size_t i = 0; i < batch.size(); ++i) {
       const std::string what =
           "round " + std::to_string(round) + " packet " + std::to_string(i);
-      const PipelineResult iref = interp.Process(batch[i]);
-      ExpectSameOutput(iref, got[i], what + " (kernels vs interpreter)");
       const PipelineResult uref = reference.ProcessUnplanned(batch[i]);
       ExpectSameOutput(uref, got[i], what + " (kernels vs unplanned)");
     }
   }
 
   for (const u16 vid : vids) {
-    EXPECT_EQ(dp.forwarded(ModuleId(vid)), interp.forwarded(ModuleId(vid)));
-    EXPECT_EQ(dp.dropped(ModuleId(vid)), interp.dropped(ModuleId(vid)));
+    EXPECT_EQ(dp.forwarded(ModuleId(vid)),
+              reference.forwarded(ModuleId(vid)));
+    EXPECT_EQ(dp.dropped(ModuleId(vid)), reference.dropped(ModuleId(vid)));
   }
 }
 

@@ -161,6 +161,11 @@ struct BadCase {
   const char* code;
 };
 
+// Print the expected diagnostic code. gtest's default byte dump of the three
+// pointers changes with every load address, and CTest bakes the printed
+// parameter into each discovered test name.
+void PrintTo(const BadCase& c, std::ostream* os) { *os << c.code; }
+
 class DslErrorTest : public ::testing::TestWithParam<BadCase> {};
 
 TEST_P(DslErrorTest, ReportsDiagnostic) {

@@ -12,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -160,6 +161,54 @@ TEST(PacketArena, ReleaseToOwnersRoutesMixedOriginSpans) {
   ReleaseToOwners(pkts.data(), pkts.size());
   EXPECT_EQ(a.outstanding(), 0u);
   EXPECT_EQ(b.outstanding(), 0u);
+}
+
+// The 2 KiB data room is a hard limit: a frame exactly kDataRoom long
+// streams byte-identical to the unplanned reference, one byte more is
+// rejected — never silently clipped — and the buffer still goes back.
+TEST(PacketArena, FrameAtDataRoomStreamsAndLongerFrameIsRejected) {
+  const std::vector<CompiledModule> images = CompileTenants();
+  Dataplane dp(DataplaneConfig{.num_shards = 1, .worker_threads = false});
+  Pipeline reference;
+  for (const CompiledModule& m : images) {
+    dp.ApplyWrites(m.AllWrites());
+    for (const ConfigWrite& w : m.AllWrites()) reference.ApplyWrite(w);
+  }
+  const auto calc_frame = [](std::size_t size) {
+    Packet p = PacketBuilder{}
+                   .vid(ModuleId(2))
+                   .udp(10000, 20000)
+                   .frame_size(size)
+                   .Build();
+    p.bytes().set_u16(46, apps::kCalcOpAdd);
+    p.bytes().set_u32(48, 40);
+    p.bytes().set_u32(52, 2);
+    p.bytes().set_u8(size - 1, 0xA5);  // the last byte must survive
+    return p;
+  };
+
+  PacketArena arena(0);
+  const Packet fits = calc_frame(ArenaPacket::kDataRoom);
+  ArenaPacket* p = arena.Allocate();
+  ASSERT_NE(p, nullptr);
+  p->Assign(fits.bytes().bytes());
+  dp.SubmitStream(&p, 1);
+  std::vector<ArenaPacket*> egress;
+  ASSERT_EQ(dp.PollEgress(egress), 1u);
+  const PipelineResult ref = reference.ProcessUnplanned(fits);
+  ASSERT_TRUE(ref.output.has_value());
+  EXPECT_EQ(egress[0]->size(), ArenaPacket::kDataRoom);
+  EXPECT_EQ(RecordOf(*egress[0]), RecordOf(*ref.output));
+  ReleaseToOwners(egress.data(), egress.size());
+
+  const Packet too_long = calc_frame(ArenaPacket::kDataRoom + 1);
+  ArenaPacket* q = arena.Allocate();
+  ASSERT_NE(q, nullptr);
+  EXPECT_THROW(q->Assign(too_long.bytes().bytes()), std::length_error);
+  EXPECT_THROW(q->set_size(ArenaPacket::kDataRoom + 1), std::length_error);
+  EXPECT_EQ(q->size(), 0u);  // rejected, not clipped
+  arena.Release(q);
+  EXPECT_EQ(arena.outstanding(), 0u);
 }
 
 // --- Streaming vs batched differential ----------------------------------------

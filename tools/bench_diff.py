@@ -55,12 +55,6 @@ micro_telemetry_overhead pair, a third within-run gate applies:
 overhead (histograms on) must stay <= 1.02x off — the telemetry
 subsystem's <= 2% hot-path cost guarantee.
 
-When the candidate run contains the micro_flow_cache_burst_hit /
-micro_flow_cache_burst_hit_scalar pair, a fourth within-run gate
-applies: the burst-probed row must be >= 1.3x faster (ns/op <= scalar
-/ 1.3) — the acceptance floor for the flow-cache burst-probe path on
-the cold zipfian tag mix.
-
 When both runs carry an fc_share field on the stream_96B_zipf row, the
 candidate's flow-cache tier share must not fall more than 2 points
 below the committed baseline share: an engine change that silently
@@ -246,32 +240,6 @@ def telemetry_gate(cur):
     return failures
 
 
-def burst_gate(cur):
-    """Flow-cache burst-probe acceptance gate, evaluated within the
-    candidate run (host-consistent): micro_flow_cache_burst_hit (the
-    gather/hash/prefetch burst probe) must be >= 1.3x faster than
-    micro_flow_cache_burst_hit_scalar (the per-packet probe loop on the
-    identical cold zipfian workload).  Only active when the run produced
-    both rows; dropping them is already fatal via the
-    missing-baseline-row check.
-    """
-    failures = []
-    burst = cur.get("micro_flow_cache_burst_hit")
-    scalar = cur.get("micro_flow_cache_burst_hit_scalar")
-    if burst is None or scalar is None:
-        return failures
-    if burst.get("ns_per_op", 0) <= 0:
-        return failures
-    speedup = scalar["ns_per_op"] / burst["ns_per_op"]
-    marker = " " if speedup >= 1.3 else "!"
-    print(f"  [{marker}] flow-cache burst probe: {burst['ns_per_op']:.1f} "
-          f"ns/pkt burst vs {scalar['ns_per_op']:.1f} ns/pkt scalar "
-          f"({speedup:.2f}x, need >= 1.30x)")
-    if speedup < 1.3:
-        failures.append(("flow-cache burst speedup", (speedup - 1.3) * 100))
-    return failures
-
-
 def fc_share_gate(base, cur):
     """Ladder-tier mix gate on the zipf streaming row: the flow-cache
     tier share (fc_share = flow-cache hits / streamed packets, emitted
@@ -405,7 +373,6 @@ def main():
 
     regressions.extend(stream_gates(cur))
     regressions.extend(telemetry_gate(cur))
-    regressions.extend(burst_gate(cur))
     regressions.extend(fc_share_gate(base, cur))
 
     if regressions:
