@@ -4,7 +4,7 @@
 // rest, and the same packet trace is driven through the chain (a) one
 // packet per InjectFromHost call — the old per-packet walk — and (b) as
 // whole batches through InjectBatchFromHost, whose hop loop hands each
-// device per-hop sub-batches via Pipeline::ProcessBatchInto.  The ratio
+// device one burst per hop via Pipeline::ProcessStreamBurst.  The ratio
 // is the measured end-to-end batching speedup of the network substrate.
 //
 // Appends `netchain_*` rows to BENCH_throughput.json (run after
@@ -153,52 +153,16 @@ ChainPoint MeasureBatched() {
   return p;
 }
 
-/// Wave-pipelined injection with parallel same-hop dispatch: successive
-/// waves occupy successive switches, so the K-switch chain can use up to
-/// K cores (on a multi-core host; ≈1x on a single-core container).
-ChainPoint MeasurePipelined() {
-  Network net = BuildChain();
-  net.EnableParallelDispatch(kChainLength - 1);  // injector participates
-  const Packet req = ChainRequest();
-  const std::vector<Packet> trace(kBatch, req);
-  constexpr std::size_t kWave = kBatch / 8;
-  {
-    std::vector<Packet> warm = trace;
-    (void)net.InjectBatchPipelined({"s0", 1}, std::move(warm), kWave);
-  }
-  std::size_t delivered = 0;
-  const auto start = std::chrono::steady_clock::now();
-  for (std::size_t b = 0; b < kBatches; ++b) {
-    std::vector<Packet> batch = trace;
-    delivered +=
-        net.InjectBatchPipelined({"s0", 1}, std::move(batch), kWave).size();
-  }
-  const double seconds = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
-  if (delivered == 0) std::fprintf(stderr, "chain delivered nothing?\n");
-
-  ChainPoint p;
-  p.name = "netchain_" + std::to_string(kChainLength) + "hop_" +
-           std::to_string(kFrameBytes) + "B_pipelined";
-  p.mpps = static_cast<double>(kBatch * kBatches) / seconds / 1e6;
-  p.l2_gbps = p.mpps * 1e6 * static_cast<double>(kFrameBytes) * 8.0 / 1e9;
-  return p;
-}
-
 void RunAndEmit() {
   const ChainPoint per_pkt = MeasurePerPacket();
   const ChainPoint batched = MeasureBatched();
-  const ChainPoint pipelined = MeasurePipelined();
 
   bench::Header("NetChain switch chain — batched network substrate");
   std::printf("%-32s %12s %12s\n", "config", "L2 (Gb/s)", "rate (Mpps)");
-  for (const ChainPoint& p : {per_pkt, batched, pipelined})
+  for (const ChainPoint& p : {per_pkt, batched})
     std::printf("%-32s %12.3f %12.3f\n", p.name.c_str(), p.l2_gbps, p.mpps);
-  std::printf("batching speedup: %.2fx over %zu hops; wave pipelining "
-              "%.2fx over plain batched\n",
-              batched.mpps / per_pkt.mpps, kChainLength,
-              pipelined.mpps / batched.mpps);
+  std::printf("batching speedup: %.2fx over %zu hops\n",
+              batched.mpps / per_pkt.mpps, kChainLength);
 
   // Append to the trajectory file bench_fig11_throughput creates.
   std::FILE* f = std::fopen("BENCH_throughput.json", "a");
@@ -206,7 +170,7 @@ void RunAndEmit() {
     std::fprintf(stderr, "cannot append to BENCH_throughput.json\n");
     return;
   }
-  for (const ChainPoint& p : {per_pkt, batched, pipelined})
+  for (const ChainPoint& p : {per_pkt, batched})
     bench::JsonThroughputLine(f, p.name, p.l2_gbps, p.mpps);
   std::fclose(f);
   bench::Note("\nappended netchain rows to BENCH_throughput.json");

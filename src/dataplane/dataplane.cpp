@@ -346,63 +346,68 @@ void Dataplane::FlushEgressLocked() {
 }
 
 void Dataplane::BindEgressDevice(Network& net, std::map<u16, PortRef> port_map) {
-  // Validate up front: an Injection at a host-less port throws deep
-  // inside the hop loop, after some packets may already have entered
-  // the network.  Failing here keeps FlushEgress all-or-nothing.
+  // Resolve up front: an injection at a host-less port would throw after
+  // the flush drained its packets.  Failing here keeps FlushEgress
+  // all-or-nothing, and FlushEgress maps ports with integers only.
+  std::vector<std::pair<u16, u32>> hosts;
   for (const auto& [local_port, ref] : port_map) {
-    if (!net.HasHost(ref)) {
+    const std::optional<u32> host = net.FindHost(ref);
+    if (!host) {
       throw std::invalid_argument(
           "BindEgressDevice: no host attached at " + ref.device + ":" +
           std::to_string(ref.port) + " (mapped from egress port " +
           std::to_string(local_port) + ")");
     }
+    hosts.emplace_back(local_port, *host);
   }
   std::lock_guard<std::mutex> lk(egress_bind_m_);
   egress_net_ = &net;
-  egress_ports_ = std::move(port_map);
+  egress_hosts_ = std::move(hosts);
 }
 
 std::vector<Delivery> Dataplane::FlushEgress(std::size_t max_hops) {
   // Drain first (PollEgress already implements the ordering contract:
-  // quiesce-overflow FIFO, then shard queues in shard order), then
-  // translate the drained run into one grouped InjectBatch under the
-  // binding lock.  Draining outside the lock would let two concurrent
-  // FlushEgress calls interleave their injection order, so the whole
-  // flush is serialized.
+  // quiesce-overflow FIFO, then shard queues in shard order), then hand
+  // the drained run to the network as one burst under the binding lock.
+  // Draining outside the lock would let two concurrent FlushEgress calls
+  // interleave their injection order, so the whole flush is serialized.
   std::lock_guard<std::mutex> lk(egress_bind_m_);
   std::vector<ArenaPacket*> drained;
   if (PollEgress(drained) == 0) return {};
 
-  std::vector<Injection> injections;
-  injections.reserve(drained.size());
-  u64 unbound = 0;
-  for (ArenaPacket* p : drained) {
-    const auto bytes = p->bytes().bytes();
-    std::size_t copies = 0;
-    const auto inject_via = [&](u16 local_port) {
-      const auto it = egress_ports_.find(local_port);
-      if (it == egress_ports_.end() || egress_net_ == nullptr) return;
-      injections.push_back(Injection{
-          it->second,
-          Packet(ByteBuffer(std::vector<u8>(bytes.begin(), bytes.end())))});
-      ++copies;
+  // Each packet enters at the host bound to its egress port; a multicast
+  // packet once per bound port of its list, as consecutive entries
+  // naming its buffer.  Unbound packets go straight back to their arenas.
+  std::vector<Network::ArenaInjection> tx;
+  std::vector<ArenaPacket*> unbound;
+  try {
+    tx.reserve(drained.size());
+    const auto via = [&](ArenaPacket* p, u16 local_port) {
+      const auto it = std::lower_bound(
+          egress_hosts_.begin(), egress_hosts_.end(), local_port,
+          [](const std::pair<u16, u32>& e, u16 port) { return e.first < port; });
+      if (it != egress_hosts_.end() && it->first == local_port)
+        tx.push_back(Network::ArenaInjection{p, it->second});
     };
-    if (p->disposition == Disposition::kMulticast) {
-      for (const u16 mp : p->multicast_ports) inject_via(mp);
-    } else {
-      inject_via(p->egress_port);
+    for (ArenaPacket* p : drained) {
+      const std::size_t before = tx.size();
+      if (p->disposition == Disposition::kMulticast) {
+        for (const u16 mp : p->multicast_ports) via(p, mp);
+      } else {
+        via(p, p->egress_port);
+      }
+      if (tx.size() == before) unbound.push_back(p);
     }
-    if (copies == 0) ++unbound;
+  } catch (...) {
+    ReleaseToOwners(drained.data(), drained.size());
+    throw;
   }
-  // Buffers go back to their arenas before the injection runs: the
-  // network works on owned copies, so producers can refill while the
-  // hop loop executes.
-  ReleaseToOwners(drained.data(), drained.size());
-  if (unbound != 0)
-    egress_unbound_.fetch_add(unbound, std::memory_order_acq_rel);
-  if (injections.empty() || egress_net_ == nullptr) return {};
-  egress_tx_.fetch_add(injections.size(), std::memory_order_acq_rel);
-  return egress_net_->InjectBatch(std::move(injections), max_hops);
+  ReleaseToOwners(unbound.data(), unbound.size());
+  if (!unbound.empty())
+    egress_unbound_.fetch_add(unbound.size(), std::memory_order_acq_rel);
+  if (tx.empty()) return {};
+  egress_tx_.fetch_add(tx.size(), std::memory_order_acq_rel);
+  return egress_net_->InjectArena(tx, max_hops);
 }
 
 void Dataplane::SetIngressQueueDepth(std::size_t depth) {

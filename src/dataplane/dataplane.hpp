@@ -187,24 +187,25 @@ class Dataplane {
   /// FlushEgress into the mapped network port.  Every mapped port must
   /// be a host-attached edge port of `net` (Network::AttachHost — the
   /// vSwitch stamps the tenant VID at that edge, so injections without a
-  /// host throw); this validates the whole map up front and throws
-  /// std::invalid_argument on an unattached port.  `net` must outlive
-  /// the binding; rebinding replaces the previous map.
+  /// host throw); this resolves the whole map to host indices up front
+  /// and throws std::invalid_argument on an unattached port.  `net` must
+  /// outlive the binding; rebinding replaces the previous map.
   void BindEgressDevice(Network& net, std::map<u16, PortRef> port_map);
 
   /// Drains the egress queues exactly like PollEgress — overflow FIFO
   /// first, then the per-shard queues in shard order, per-tenant FIFO
-  /// within each — but instead of handing buffers to the caller,
-  /// transmits the drained packets as one grouped burst through
-  /// Network::InjectBatch (which sub-batches per device each hop), and
-  /// returns the resulting edge deliveries.  Ordering contract: the
-  /// injection order IS the drain order, so each tenant's packets enter
-  /// the network in processing order; delivery order then follows
-  /// InjectBatch (hop, device name, arrival).  Multicast packets
-  /// replicate to every bound port of their port list; packets whose
+  /// within each — but instead of handing buffers to the caller, passes
+  /// the drained buffers themselves to Network::InjectArena (one burst
+  /// call per device per hop, no copy), and returns the resulting edge
+  /// deliveries.  Ordering contract: the injection order IS the drain
+  /// order, so each tenant's packets enter the network in processing
+  /// order; delivery order then follows the hop loop (hop, device name,
+  /// arrival).  Multicast packets enter once per bound port of their
+  /// port list (the network copies all but the first); packets whose
   /// egress_port has no binding are counted in egress_unbound() and
-  /// recycled.  All drained arena buffers are released back to their
-  /// owners before injection returns.  Serialized against itself and
+  /// recycled.  The network releases each buffer to its owner when its
+  /// packet leaves the network, so every drained buffer is back before
+  /// FlushEgress returns.  Serialized against itself and
   /// BindEgressDevice; safe to call concurrently with SubmitStream.
   std::vector<Delivery> FlushEgress(std::size_t max_hops = 8);
 
@@ -558,7 +559,8 @@ class Dataplane {
   /// bound network at a time.
   mutable std::mutex egress_bind_m_;
   Network* egress_net_ = nullptr;
-  std::map<u16, PortRef> egress_ports_;
+  /// (local egress port, network host index), sorted by local port.
+  std::vector<std::pair<u16, u32>> egress_hosts_;
   std::atomic<u64> egress_tx_{0};
   std::atomic<u64> egress_unbound_{0};
 

@@ -1,43 +1,94 @@
 #include "net/network.hpp"
 
-#include <functional>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 namespace menshen {
 
+namespace {
+
+/// The one copy out: a delivered packet's bytes plus its sidebands.
+Packet ToPacket(const ArenaPacket& p) {
+  const auto b = p.bytes().bytes();
+  Packet out(ByteBuffer(std::vector<u8>(b.begin(), b.end())));
+  out.ingress_port = p.ingress_port;
+  out.disposition = p.disposition;
+  out.egress_port = p.egress_port;
+  out.multicast_ports = p.multicast_ports;
+  out.buffer_tag = p.buffer_tag;
+  out.verdict = p.verdict;
+  out.exec_tier = p.exec_tier;
+  out.exec_steps = p.exec_steps;
+  return out;
+}
+
+}  // namespace
+
 Device& Network::AddDevice(const std::string& name, PipelineTiming timing) {
-  auto [it, inserted] =
-      devices_.emplace(name, std::make_unique<Device>(name, timing));
-  if (!inserted) throw std::invalid_argument("duplicate device " + name);
-  return *it->second;
+  if (index_.contains(name))
+    throw std::invalid_argument("duplicate device " + name);
+  Node node;
+  node.device = std::make_unique<Device>(name, timing);
+  nodes_.push_back(std::move(node));
+  index_.emplace(name, static_cast<u32>(nodes_.size() - 1));
+  by_name_.clear();
+  for (const auto& [n, i] : index_) by_name_.push_back(i);
+  return *nodes_.back().device;
+}
+
+u32 Network::DeviceIndex(const std::string& name) const {
+  const auto it = index_.find(name);
+  if (it == index_.end()) throw std::invalid_argument("unknown device " + name);
+  return it->second;
 }
 
 Device& Network::device(const std::string& name) {
-  const auto it = devices_.find(name);
-  if (it == devices_.end())
-    throw std::invalid_argument("unknown device " + name);
-  return *it->second;
+  return *nodes_[DeviceIndex(name)].device;
+}
+
+bool Network::Linked(u32 device, u16 port) const {
+  const std::vector<Peer>& peers = nodes_[device].peers;
+  return port < peers.size() && peers[port].device != kNoDevice;
+}
+
+std::optional<u32> Network::FindHost(u32 device, u16 port) const {
+  for (std::size_t h = 0; h < hosts_.size(); ++h)
+    if (hosts_[h].device == device && hosts_[h].port == port)
+      return static_cast<u32>(h);
+  return std::nullopt;
+}
+
+std::optional<u32> Network::FindHost(const PortRef& port) const {
+  const auto it = index_.find(port.device);
+  if (it == index_.end()) return std::nullopt;
+  return FindHost(it->second, port.port);
 }
 
 void Network::Link(const PortRef& a, const PortRef& b) {
-  if (links_.contains(a) || links_.contains(b))
+  const u32 da = DeviceIndex(a.device);
+  const u32 db = DeviceIndex(b.device);
+  if (Linked(da, a.port) || Linked(db, b.port))
     throw std::invalid_argument("port already linked");
-  if (!devices_.contains(a.device) || !devices_.contains(b.device))
-    throw std::invalid_argument("link references unknown device");
-  links_[a] = b;
-  links_[b] = a;
+  if (FindHost(da, a.port) || FindHost(db, b.port))
+    throw std::invalid_argument("port already carries a host");
+  const auto connect = [&](u32 d, u16 port, Peer peer) {
+    std::vector<Peer>& peers = nodes_[d].peers;
+    if (port >= peers.size()) peers.resize(std::size_t{port} + 1);
+    peers[port] = peer;
+  };
+  connect(da, a.port, Peer{db, b.port});
+  connect(db, b.port, Peer{da, a.port});
 }
 
 void Network::AttachHost(const PortRef& port, ModuleId vid) {
-  if (links_.contains(port))
+  const u32 d = DeviceIndex(port.device);
+  if (Linked(d, port.port))
     throw std::invalid_argument("host port already carries a link");
-  hosts_[port] = vid;
-}
-
-void Network::EnableParallelDispatch(std::size_t threads) {
-  pool_ = threads == 0 ? nullptr : std::make_unique<TaskPool>(threads);
+  if (const auto h = FindHost(d, port.port)) {
+    hosts_[*h].vid = vid;
+    return;
+  }
+  hosts_.push_back(Host{d, port.port, vid});
 }
 
 std::vector<Delivery> Network::InjectFromHost(const PortRef& port,
@@ -58,162 +109,148 @@ std::vector<Delivery> Network::InjectBatchFromHost(const PortRef& port,
   return InjectBatch(std::move(injections), max_hops);
 }
 
-std::vector<Network::Traveler> Network::MakeTravelers(
-    std::vector<Injection>&& injections, std::size_t max_hops) {
-  std::vector<Traveler> inflight;
-  inflight.reserve(injections.size());
-  for (Injection& inj : injections) {
-    const auto hit = hosts_.find(inj.port);
-    if (hit == hosts_.end())
-      throw std::invalid_argument("no host attached at " + inj.port.device +
-                                  ":" + std::to_string(inj.port.port));
-    // The vSwitch stamps the tenant's VLAN ID at the network edge; hosts
-    // cannot choose their module ID themselves (section 3.1).
-    inj.packet.set_vid(hit->second);
-    inflight.push_back(Traveler{inj.port, std::move(inj.packet), max_hops});
-  }
-  return inflight;
-}
-
 std::vector<Delivery> Network::InjectBatch(std::vector<Injection> injections,
                                            std::size_t max_hops) {
-  Wave wave;
-  wave.cur = MakeTravelers(std::move(injections), max_hops);
-  std::vector<Wave*> waves{&wave};
-  while (!wave.cur.empty()) RunHopRound(waves);
-  return std::move(wave.out);
+  // All-or-nothing: every host port and frame length is checked before
+  // the first buffer is allocated.
+  const std::size_t n = injections.size();
+  std::vector<ArenaInjection> entries(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Injection& inj = injections[i];
+    if (i > 0 && inj.port == injections[i - 1].port) {
+      entries[i].host = entries[i - 1].host;
+    } else {
+      const auto host = FindHost(inj.port);
+      if (!host)
+        throw std::invalid_argument("no host attached at " +
+                                    inj.port.device + ":" +
+                                    std::to_string(inj.port.port));
+      entries[i].host = *host;
+    }
+    if (inj.packet.size() > ArenaPacket::kDataRoom)
+      throw std::length_error("Network: frame of " +
+                              std::to_string(inj.packet.size()) +
+                              " bytes exceeds the 2 KiB arena data room");
+  }
+  std::vector<ArenaPacket*> bufs(n);
+  arena_->AllocateBurst(bufs.data(), n);  // uncapped: never short
+  for (std::size_t i = 0; i < n; ++i) {
+    bufs[i]->Assign(injections[i].packet.bytes().bytes());
+    entries[i].pkt = bufs[i];
+  }
+  return InjectArena(entries, max_hops);
 }
 
-std::vector<Delivery> Network::InjectBatchPipelined(const PortRef& port,
-                                                    std::vector<Packet> packets,
-                                                    std::size_t wave_size,
-                                                    std::size_t max_hops) {
-  if (wave_size == 0) wave_size = 1;
-  std::vector<std::unique_ptr<Wave>> waves;
-  std::size_t injected = 0;
-
-  std::vector<Wave*> active;
-  while (injected < packets.size() ||
-         [&] {
-           for (const auto& w : waves)
-             if (!w->cur.empty()) return true;
-           return false;
-         }()) {
-    // Stagger: one new wave enters the edge port per hop round, so wave
-    // w+1 is always exactly one device behind wave w on a chain.
-    if (injected < packets.size()) {
-      const std::size_t n = std::min(wave_size, packets.size() - injected);
-      std::vector<Injection> chunk;
-      chunk.reserve(n);
-      for (std::size_t i = 0; i < n; ++i)
-        chunk.push_back(Injection{port, std::move(packets[injected + i])});
-      injected += n;
-      auto wave = std::make_unique<Wave>();
-      wave->cur = MakeTravelers(std::move(chunk), max_hops);
-      waves.push_back(std::move(wave));
-    }
-    active.clear();
-    for (const auto& w : waves)
-      if (!w->cur.empty()) active.push_back(w.get());
-    if (!active.empty()) RunHopRound(active);
-  }
-
-  // Deliveries wave by wave: identical to concatenating sequential
-  // per-wave InjectBatchFromHost runs (loop-free forwarding).
+std::vector<Delivery> Network::InjectArena(
+    std::span<const ArenaInjection> injections, std::size_t max_hops) {
   std::vector<Delivery> out;
-  for (auto& w : waves)
-    for (Delivery& d : w->out) out.push_back(std::move(d));
+  std::size_t entered = 0;
+  try {
+    out.reserve(injections.size());
+    for (; entered < injections.size(); ++entered) {
+      const ArenaInjection& inj = injections[entered];
+      const Host& host = hosts_.at(inj.host);
+      std::vector<ArenaPacket*>& queue = nodes_[host.device].cur;
+      const bool repeat = entered > 0 && inj.pkt == injections[entered - 1].pkt;
+      queue.push_back(repeat ? nullptr : inj.pkt);
+      if (repeat) queue.back() = Replicate(*inj.pkt);
+      ArenaPacket& p = *queue.back();
+      // The vSwitch stamps the tenant's VLAN ID at the network edge; hosts
+      // cannot choose their module ID themselves (section 3.1).  A frame
+      // without a VLAN tag enters unstamped, and the device's packet
+      // filter drops it and counts it in dropped_no_vlan().
+      if (p.has_vlan()) p.set_vid(host.vid);
+      p.ingress_port = host.port;
+    }
+    Walk(max_hops, out);
+  } catch (...) {
+    ReleaseInFlight();
+    // Buffers that never entered a queue (a repeat's buffer already did).
+    for (std::size_t i = entered; i < injections.size(); ++i) {
+      ArenaPacket* p = injections[i].pkt;
+      if (i == 0 || p != injections[i - 1].pkt) p->owner()->Release(p);
+    }
+    throw;
+  }
   return out;
 }
 
-void Network::RunHopRound(std::vector<Wave*>& waves) {
-  // Group this round's travelers into per-device sub-batches, ordered by
-  // (device name, wave, arrival) — the deterministic order the
-  // sequential hop loop produced.
-  struct DeviceTask {
-    Device* dev = nullptr;
-    std::vector<Packet> batch;
-    std::vector<std::size_t> budgets;
-    std::vector<std::size_t> wave_of;  // which wave each result routes to
-    std::vector<PipelineResult> results;
+void Network::Walk(std::size_t max_hops, std::vector<Delivery>& out) {
+  for (std::size_t hop = 0;; ++hop) {
+    std::size_t in_flight = 0;
+    for (const Node& node : nodes_) in_flight += node.cur.size();
+    if (in_flight == 0) return;
+    if (hop == max_hops) {
+      loop_drops_ += in_flight;
+      ReleaseInFlight();
+      return;
+    }
+    for (const u32 d : by_name_) RunDevice(nodes_[d], out);
+    ReleaseToOwners(retired_.data(), retired_.size());
+    retired_.clear();
+    for (Node& node : nodes_) node.cur.swap(node.next);
+  }
+}
+
+void Network::RunDevice(Node& node, std::vector<Delivery>& out) {
+  if (node.cur.empty()) return;
+  node.device->pipeline().ProcessStreamBurst(node.cur.data(), node.cur.size());
+  for (ArenaPacket*& slot : node.cur) {
+    const ArenaPacket& p = *slot;
+    if (p.verdict != static_cast<u8>(FilterVerdict::kData) ||
+        p.disposition == Disposition::kDrop) {
+      Retire(slot);
+    } else if (p.disposition == Disposition::kForward) {
+      Emit(node, p.egress_port, slot, /*copy=*/false, out);
+    } else {
+      // Multicast: a replica per port but the last, which takes the
+      // buffer itself.  An empty port list drops the packet.
+      const std::size_t k = p.multicast_ports.size();
+      if (k == 0) Retire(slot);
+      for (std::size_t i = 0; i < k; ++i)
+        Emit(node, p.multicast_ports[i], slot, /*copy=*/i + 1 < k, out);
+    }
+  }
+  node.cur.clear();
+}
+
+void Network::Emit(const Node& node, u16 port, ArenaPacket*& slot, bool copy,
+                   std::vector<Delivery>& out) {
+  if (port >= node.peers.size() || node.peers[port].device == kNoDevice) {
+    // Edge port: the packet leaves the network.
+    out.push_back(Delivery{PortRef{node.device->name(), port}, ToPacket(*slot)});
+    if (!copy) Retire(slot);
+    return;
+  }
+  const Peer peer = node.peers[port];
+  std::vector<ArenaPacket*>& queue = nodes_[peer.device].next;
+  queue.push_back(nullptr);
+  queue.back() = copy ? Replicate(*slot) : std::exchange(slot, nullptr);
+  queue.back()->ingress_port = peer.port;
+}
+
+ArenaPacket* Network::Replicate(const ArenaPacket& src) {
+  ArenaPacket* copy = arena_->Allocate();  // uncapped: never null
+  copy->Assign(src.bytes().bytes());
+  return copy;
+}
+
+void Network::Retire(ArenaPacket*& slot) {
+  retired_.push_back(slot);
+  slot = nullptr;
+}
+
+void Network::ReleaseInFlight() {
+  const auto release = [](std::vector<ArenaPacket*>& queue) {
+    for (ArenaPacket* p : queue)
+      if (p != nullptr) p->owner()->Release(p);
+    queue.clear();
   };
-  std::map<std::string, DeviceTask> tasks;
-
-  for (std::size_t w = 0; w < waves.size(); ++w) {
-    for (Traveler& t : waves[w]->cur) {
-      if (t.hops_left == 0) {
-        ++loop_drops_;
-        continue;
-      }
-      DeviceTask& task = tasks[t.at.device];
-      if (task.dev == nullptr) task.dev = &device(t.at.device);
-      t.packet.ingress_port = t.at.port;
-      task.budgets.push_back(t.hops_left - 1);
-      task.wave_of.push_back(w);
-      task.batch.push_back(std::move(t.packet));
-    }
-    waves[w]->next.clear();
+  for (Node& node : nodes_) {
+    release(node.cur);
+    release(node.next);
   }
-
-  // Distinct devices are independent pipelines: run their sub-batches
-  // concurrently when a dispatch pool is attached (a chain of K switches
-  // with K waves in flight keeps K cores busy), sequentially otherwise.
-  // On a single-core host the fork/join handoff is pure overhead — the
-  // pipelined chain bench ran ~1.5x slower than batched through the pool
-  // — so the pool is bypassed when the hardware cannot actually overlap
-  // the sub-batches (results are byte-identical either way).
-  static const bool multi_core = std::thread::hardware_concurrency() > 1;
-  if (pool_ != nullptr && multi_core && tasks.size() > 1) {
-    std::vector<std::function<void()>> fns;
-    fns.reserve(tasks.size());
-    for (auto& [name, task] : tasks) {
-      DeviceTask* tp = &task;
-      fns.emplace_back([tp] {
-        tp->dev->pipeline().ProcessBatchInto(std::move(tp->batch),
-                                             tp->results);
-      });
-    }
-    pool_->RunAll(fns);
-  } else {
-    for (auto& [name, task] : tasks)
-      task.dev->pipeline().ProcessBatchInto(std::move(task.batch),
-                                            task.results);
-  }
-
-  // Route the verdicts sequentially, in the same deterministic order the
-  // batches were built in (links_ and the wave vectors are not safe to
-  // touch from pool tasks, and delivery order must not depend on task
-  // scheduling).
-  for (auto& [name, task] : tasks) {
-    for (std::size_t k = 0; k < task.results.size(); ++k) {
-      if (!task.results[k].output) continue;  // filtered
-      const Packet& processed = *task.results[k].output;
-      Wave& wave = *waves[task.wave_of[k]];
-      const auto emit = [&](u16 egress_port, Packet copy) {
-        const PortRef egress{name, egress_port};
-        const auto lit = links_.find(egress);
-        if (lit == links_.end()) {
-          // Edge port: the packet leaves the network.
-          wave.out.push_back(Delivery{egress, std::move(copy)});
-          return;
-        }
-        wave.next.push_back(
-            Traveler{lit->second, std::move(copy), task.budgets[k]});
-      };
-      switch (processed.disposition) {
-        case Disposition::kDrop:
-          break;
-        case Disposition::kForward:
-          emit(processed.egress_port, processed);
-          break;
-        case Disposition::kMulticast:
-          for (const u16 p : processed.multicast_ports) emit(p, processed);
-          break;
-      }
-    }
-  }
-
-  for (Wave* w : waves) w->cur.swap(w->next);
+  release(retired_);
 }
 
 }  // namespace menshen

@@ -11,32 +11,35 @@
 //   * hosts sit on edge ports behind a vSwitch, which stamps the
 //     tenant's VLAN ID onto packets entering the network (section 3.1:
 //     "the VID ... we assume is set by the vSwitch");
-//   * injected packets advance through a batched hop loop: each hop, the
-//     in-flight packets are grouped into per-device sub-batches and run
-//     through Pipeline::ProcessBatchInto — the same scratch-buffer-reusing
-//     hot path the sharded dataplane drives — and each device's verdicts
-//     (drop/forward/multicast) spawn the next hop's travelers, until every
-//     packet leaves at an edge port or exceeds its hop budget (the runaway
-//     guard whose control-plane counterpart is the routing-loop checker).
+//   * injected packets advance through one run-to-completion hop loop
+//     over arena buffers: each hop, every device runs its in-flight
+//     packets through Pipeline::ProcessStreamBurst — one call per device
+//     per hop, the streaming dataplane's burst call — and each verdict
+//     (drop/forward/multicast) moves the buffer pointer onto the next
+//     device's queue, until every packet leaves at an edge port or
+//     exceeds its hop budget (the runaway guard whose control-plane
+//     counterpart is the routing-loop checker).
 //
-// Parallel dispatch: distinct devices within one hop round are
-// independent pipelines, so EnableParallelDispatch runs their sub-batches
-// concurrently on a fork/join task pool.  On its own that only helps
-// topologies whose hop front spans several devices; InjectBatchPipelined
-// additionally staggers the injected batch into waves, so a chain of K
-// switches keeps up to K devices busy at once (wave w is on switch i
-// while wave w+1 is on switch i-1) — K cores for a K-switch chain.
-// Results and delivery order stay byte-identical to the sequential path
-// provided forwarding is loop-free (each wave visits a device at most
-// once — the invariant the control-plane loop checker enforces).
+// Links and host ports are resolved to integer device and port indices
+// when the topology is built, so the hop loop does no string or map
+// work per packet.  A unicast forward moves the buffer pointer; only a
+// multicast replica is copied, into a PacketArena the network owns.
+// Packets copy in once (InjectBatch and friends) or not at all
+// (InjectArena, which Dataplane::FlushEgress feeds its drained egress
+// buffers), and copy out once, into each Delivery's Packet.  Every
+// buffer goes back to its owning arena when its packet leaves the
+// network — delivered, dropped, filtered or out of hop budget — and all
+// of them are back before the injection returns, also when it throws.
 #pragma once
 
 #include <map>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "common/task_pool.hpp"
+#include "packet/arena.hpp"
 #include "pipeline/pipeline.hpp"
 
 namespace menshen {
@@ -76,33 +79,33 @@ struct Injection {
 
 class Network {
  public:
+  /// One arena buffer awaiting injection at a host edge port, named by
+  /// its FindHost index.
+  struct ArenaInjection {
+    ArenaPacket* pkt = nullptr;
+    u32 host = 0;
+  };
+
   /// Adds a device; the name must be unique.
   Device& AddDevice(const std::string& name,
                     PipelineTiming timing = OptimizedTiming());
   [[nodiscard]] Device& device(const std::string& name);
 
-  /// Connects two ports bidirectionally.  A port can carry one link.
+  /// Connects two ports bidirectionally.  A port can carry one link, and
+  /// no link where a host is attached; both devices must exist.
   void Link(const PortRef& a, const PortRef& b);
 
-  /// Declares a host edge port: packets injected there are stamped with
-  /// `vid` by the vSwitch before entering the first pipeline.
+  /// Declares a host edge port on an existing device: packets injected
+  /// there are stamped with `vid` by the vSwitch before entering the
+  /// first pipeline — VLAN-tagged ones; any other frame enters unstamped
+  /// and the device's packet filter drops it.  The port must not carry a
+  /// link.
   void AttachHost(const PortRef& port, ModuleId vid);
 
-  /// Whether a host is attached at `port` — the injection precondition
-  /// (MakeTravelers throws on a portless injection).  Egress bindings
-  /// (Dataplane::BindEgressDevice) validate their port map against this.
-  [[nodiscard]] bool HasHost(const PortRef& port) const {
-    return hosts_.contains(port);
-  }
-
-  /// Runs distinct same-hop devices' sub-batches concurrently on
-  /// `threads` pool workers (the injecting thread participates too, so a
-  /// chain of K switches wants threads = K-1).  0 restores sequential
-  /// dispatch.  Call while no injection is in flight.
-  void EnableParallelDispatch(std::size_t threads);
-  [[nodiscard]] std::size_t parallel_workers() const {
-    return pool_ ? pool_->size() : 0;
-  }
+  /// The index of the host attached at `port` (the InjectArena handle),
+  /// or nullopt — the injection precondition.  Egress bindings
+  /// (Dataplane::BindEgressDevice) resolve their port map through this.
+  [[nodiscard]] std::optional<u32> FindHost(const PortRef& port) const;
 
   /// Injects a packet from the host on `port` and walks it through the
   /// network.  Returns every copy that left at an edge port.  Packets
@@ -112,67 +115,88 @@ class Network {
                                        std::size_t max_hops = 8);
 
   /// Batched injection from one host port: the whole vector advances
-  /// together through the hop loop, so every device processes one
-  /// sub-batch per hop instead of one packet per call — multi-hop chain
-  /// workloads measure the batched engine, not the per-packet path.
-  /// Deliveries are ordered by hop, then by device name, then by the
-  /// sub-batch order within the device.
+  /// together through the hop loop, so every device processes one burst
+  /// per hop instead of one packet per call.  Deliveries are ordered by
+  /// hop, then by device name, then by arrival order within the device.
   std::vector<Delivery> InjectBatchFromHost(const PortRef& port,
                                             std::vector<Packet> packets,
                                             std::size_t max_hops = 8);
 
   /// General batched injection: packets may enter at different host
-  /// ports.  Same hop-loop semantics and delivery order as above.
+  /// ports.  Same hop-loop semantics and delivery order as above.  Each
+  /// packet is copied once into the network's arena; an unknown host
+  /// port (std::invalid_argument) or a frame longer than
+  /// ArenaPacket::kDataRoom (std::length_error) throws before any packet
+  /// of the batch enters.
   std::vector<Delivery> InjectBatch(std::vector<Injection> injections,
                                     std::size_t max_hops = 8);
 
-  /// Wave-pipelined injection from one host port: the batch is split
-  /// into waves of `wave_size`, injected one per hop round, so
-  /// successive waves occupy successive devices of a chain
-  /// simultaneously (combine with EnableParallelDispatch to spread them
-  /// across cores).  Deliveries are ordered wave by wave; within a wave
-  /// the order matches InjectBatchFromHost of that wave, and for
-  /// loop-free forwarding the concatenation is byte-identical to
-  /// InjectBatchFromHost of the whole batch (pinned by
-  /// tests/test_network.cpp).
-  std::vector<Delivery> InjectBatchPipelined(const PortRef& port,
-                                             std::vector<Packet> packets,
-                                             std::size_t wave_size,
-                                             std::size_t max_hops = 8);
+  /// Zero-copy injection of arena buffers (Dataplane::FlushEgress): the
+  /// network takes ownership of every buffer and releases each to its
+  /// owner when its packet leaves the network, all before returning.
+  /// Consecutive entries may name the same buffer (one packet bound to
+  /// several host ports): the first enters as the buffer itself, each
+  /// repeat as a copy in the network's arena.  A buffer must not appear
+  /// anywhere else in `injections`.  A host index FindHost never
+  /// returned throws std::out_of_range, with every buffer released.
+  std::vector<Delivery> InjectArena(std::span<const ArenaInjection> injections,
+                                    std::size_t max_hops = 8);
 
   [[nodiscard]] u64 loop_drops() const { return loop_drops_; }
 
+  /// The arena holding copied-in packets and multicast replicas; its
+  /// outstanding() is 0 whenever no injection is running.
+  [[nodiscard]] const PacketArena& arena() const { return *arena_; }
+
  private:
-  /// One in-flight packet: where it is about to enter, and how many more
-  /// devices it may traverse.
-  struct Traveler {
-    PortRef at;
-    Packet packet;
-    std::size_t hops_left = 0;
+  static constexpr u32 kNoDevice = ~u32{0};
+
+  /// Where the link on a port leads; device == kNoDevice on an edge port.
+  struct Peer {
+    u32 device = kNoDevice;
+    u16 port = 0;
   };
-  /// One wave's hop-loop state: current/next traveler sets plus the
-  /// deliveries it has produced so far.
-  struct Wave {
-    std::vector<Traveler> cur;
-    std::vector<Traveler> next;
-    std::vector<Delivery> out;
+  struct Host {
+    u32 device = 0;
+    u16 port = 0;
+    ModuleId vid{0};
+  };
+  /// One device with its resolved links and its hop-loop queues: `cur`
+  /// holds this hop's burst in arrival order, `next` collects the next
+  /// hop's arrivals.  Both keep their capacity across hops and calls.
+  struct Node {
+    std::unique_ptr<Device> device;
+    std::vector<Peer> peers;  // indexed by port
+    std::vector<ArenaPacket*> cur;
+    std::vector<ArenaPacket*> next;
   };
 
-  /// Stamps host-port injections into travelers (vSwitch VID stamping).
-  std::vector<Traveler> MakeTravelers(std::vector<Injection>&& injections,
-                                      std::size_t max_hops);
-  /// One hop round over every wave: per-device sub-batches (grouped
-  /// across waves, wave-ascending within a device) run through the
-  /// devices' batched pipelines — concurrently when parallel dispatch is
-  /// on — then the verdicts are routed sequentially in deterministic
-  /// (device-name, wave, arrival) order.  Each wave's `cur` is consumed
-  /// into `next`/`out`.
-  void RunHopRound(std::vector<Wave*>& waves);
+  [[nodiscard]] u32 DeviceIndex(const std::string& name) const;
+  [[nodiscard]] bool Linked(u32 device, u16 port) const;
+  [[nodiscard]] std::optional<u32> FindHost(u32 device, u16 port) const;
 
-  std::map<std::string, std::unique_ptr<Device>> devices_;
-  std::map<PortRef, PortRef> links_;
-  std::map<PortRef, ModuleId> hosts_;
-  std::unique_ptr<TaskPool> pool_;
+  /// The hop loop over the queued packets.
+  void Walk(std::size_t max_hops, std::vector<Delivery>& out);
+  /// One device's hop: its burst call, then every verdict routed.
+  void RunDevice(Node& node, std::vector<Delivery>& out);
+  /// Sends the packet in `slot` out of `port`: delivered at an edge,
+  /// queued at the linked device otherwise.  With `copy` a replica goes
+  /// and `slot` keeps the buffer; without, the buffer leaves `slot`.
+  void Emit(const Node& node, u16 port, ArenaPacket*& slot, bool copy,
+            std::vector<Delivery>& out);
+  /// A network-arena buffer holding `src`'s bytes.
+  [[nodiscard]] ArenaPacket* Replicate(const ArenaPacket& src);
+  /// Queues the buffer in `slot` for release at the end of the hop.
+  void Retire(ArenaPacket*& slot);
+  /// Releases every buffer still queued (budget exhausted, or a throw).
+  void ReleaseInFlight();
+
+  std::vector<Node> nodes_;
+  std::map<std::string, u32> index_;  // device name -> nodes_ index
+  std::vector<u32> by_name_;          // nodes_ indices in name order
+  std::vector<Host> hosts_;
+  std::unique_ptr<PacketArena> arena_ = std::make_unique<PacketArena>();
+  std::vector<ArenaPacket*> retired_;  // released once per hop
   u64 loop_drops_ = 0;
 };
 

@@ -86,7 +86,8 @@ class ArenaPacket {
   /// the buffer unchanged, when the frame exceeds kDataRoom.
   void Assign(std::span<const u8> frame) {
     set_size(frame.size());
-    std::memcpy(data_.data(), frame.data(), len_);
+    // An empty frame may have a null data() (memcpy's source must not).
+    if (len_ != 0) std::memcpy(data_.data(), frame.data(), len_);
   }
   void set_size(std::size_t n) {
     if (n > kDataRoom)
@@ -104,6 +105,14 @@ class ArenaPacket {
     return ModuleId(static_cast<u16>(
         ((u16{data_[offsets::kVlanTci]} << 8) | data_[offsets::kVlanTci + 1]) &
         0x0FFF));
+  }
+  /// Rewrites the VID, keeping PCP/DEI (the vSwitch stamp).  Requires
+  /// has_vlan().
+  void set_vid(ModuleId id) {
+    const u16 tci = static_cast<u16>(((data_[offsets::kVlanTci] & 0xF0) << 8) |
+                                     id.value());
+    data_[offsets::kVlanTci] = static_cast<u8>(tci >> 8);
+    data_[offsets::kVlanTci + 1] = static_cast<u8>(tci);
   }
 
   // --- Sidebands (same contract as Packet's) ------------------------------
