@@ -4,6 +4,7 @@
 #include <chrono>
 #include <set>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "packet/arena.hpp"
@@ -30,20 +31,20 @@ constexpr u16 kNoVid = 0xFFFF;
 // to shard 0 as one pseudo-tenant group).
 constexpr u32 kNoVlanKey = ModuleId::kMax + 1;
 
-// Upper bound on pooled WorkBuffers: enough for several in-flight
-// tickets' worth of sub-batches without holding memory forever.
-constexpr std::size_t kBufferPoolCap = 64;
+// Upper bound on pooled work items: enough for several in-flight
+// submissions' worth of slices without holding memory forever.
+constexpr std::size_t kWorkPoolCap = 64;
 
 /// Per-producer scatter scratch (thread-local, so any number of
 /// producers submit without sharing): the tenant-grouping tables and
-/// the per-shard work array, all reused across Submits so the scatter
-/// itself allocates nothing in steady state.
+/// the per-shard work array, all reused across submissions so the
+/// scatter itself allocates nothing in steady state.
 struct ScatterScratch {
   /// One tenant (or the no-VLAN pseudo-tenant) appearing in this batch.
   struct Group {
     u32 shard = 0;
     u32 count = 0;   // packets in this group
-    u32 base = 0;    // start offset inside the shard's sub-batch
+    u32 base = 0;    // start offset inside the shard's slice
     u32 cursor = 0;  // next position during placement
   };
   std::vector<Group> groups;        // first-appearance order
@@ -51,10 +52,20 @@ struct ScatterScratch {
   std::vector<u32> slot;            // key -> group index (stamped)
   std::vector<u32> stamp;           // key -> generation of `slot`
   u32 gen = 0;
-  std::vector<u32> shard_total;     // shard -> sub-batch size
+  std::vector<u32> shard_total;     // shard -> slice size
   std::vector<ingress::ShardWork> works;
-  std::vector<ingress::StreamWork> stream_works;
 };
+
+/// Verdict class of a processed packet in the TraceRecord::verdict
+/// encoding: 0 forwarded (egress), 1 dropped, 2 filtered.
+template <typename PacketT>
+u8 VerdictClass(const PacketT& p) {
+  const auto fv = static_cast<FilterVerdict>(p.verdict);
+  if (fv == FilterVerdict::kDropBitmap ||
+      (fv == FilterVerdict::kData && p.disposition == Disposition::kDrop))
+    return 1;
+  return fv == FilterVerdict::kData ? 0 : 2;
+}
 
 thread_local ScatterScratch tls_scatter;
 
@@ -176,25 +187,16 @@ std::size_t Dataplane::ShardFor(ModuleId tenant) const {
 
 std::future<std::vector<PipelineResult>> Dataplane::Submit(
     BatchTicket&& ticket) {
-  // One TSC read per batch: the ingress side of the batched latency
-  // histograms (and the trace records' ns field).
-  if (telemetry_.histograms_enabled() || telemetry_.sample_every() != 0)
-    ticket.ingress_tsc = TscClock::Now();
   auto state = std::make_shared<ingress::TicketState>();
-  state->results.resize(ticket.batch.size());
+  state->batch = std::move(ticket.batch);
+  state->results.resize(state->batch.size());
   state->on_complete = std::move(ticket.on_complete);
   std::future<std::vector<PipelineResult>> fut = state->promise.get_future();
-  if (cfg_.worker_threads) {
-    // Async engine: hold the engine shared only for the scatter+enqueue
-    // window, so producers run concurrently with each other and with the
-    // shard workers.
+  {
     SharedGate gate(*this);
-    ScatterAndDispatch(std::move(ticket), state, /*inline_run=*/false);
-  } else {
-    // Sequential reference engine: the submitting thread runs every
-    // shard's sub-batch itself, serialized against everything else.
-    ExclusiveGate gate(*this);
-    ScatterAndDispatch(std::move(ticket), state, /*inline_run=*/true);
+    Packet* const batch = state->batch.data();
+    Scatter(state->batch.size(), [batch](std::size_t i) { return batch + i; },
+            state);
   }
   // Drop the submitter's ticket reference only after the gate above is
   // released: when this is the last reference (inline mode, or every
@@ -214,40 +216,45 @@ std::vector<PipelineResult> Dataplane::ProcessBatch(
 
 void Dataplane::SubmitStream(ArenaPacket* const* pkts, std::size_t n) {
   if (n == 0) return;
-  // One TSC read per burst, shared by every packet in it: the ingress
-  // side of the streaming latency histograms.
-  if (telemetry_.histograms_enabled() || telemetry_.sample_every() != 0) {
-    const u64 now = TscClock::Now();
-    for (std::size_t i = 0; i < n; ++i) pkts[i]->ingress_tsc = now;
-  }
-  // Without worker threads the producer core IS the forwarding core:
-  // it runs the burst to completion itself, under the shared gate so
-  // producers on different shards execute in parallel (per-shard
-  // serialization happens on ShardContext::stream_m).  Config
-  // operations still exclude everything via the exclusive gate.
   SharedGate gate(*this);
-  ScatterStream(pkts, n, /*inline_run=*/!cfg_.worker_threads);
+  Scatter(n, [pkts](std::size_t i) { return pkts[i]; }, nullptr);
 }
 
-void Dataplane::ScatterStream(ArenaPacket* const* pkts, std::size_t n,
-                              bool inline_run) {
+template <typename PacketAt>
+void Dataplane::Scatter(std::size_t n, PacketAt at,
+                        const std::shared_ptr<ingress::TicketState>& ticket) {
+  using PacketT = std::remove_pointer_t<decltype(at(std::size_t{0}))>;
   const std::size_t shard_count = shards_.size();
   ScatterScratch& sc = tls_scatter;
+  // One TSC read per submission, shared by every packet in it: the
+  // ingress side of the latency histograms and trace records.
+  const bool timed =
+      telemetry_.histograms_enabled() || telemetry_.sample_every() != 0;
+  const u64 now = timed ? TscClock::Now() : 0;
 
-  // Pass 1 — group by tenant, exactly like the batched scatter: whole
-  // tenant groups per shard burst, arrival order within a tenant.
+  // Pass 1 — group by tenant (first-appearance order).  Each shard's
+  // slice is laid out as whole tenant groups, maximizing the module-run
+  // length the pipeline's run segmentation sees, while the order
+  // *within* a tenant stays the arrival order — per-tenant streams are
+  // byte-identical to the ungrouped scatter (cross-tenant order within a
+  // slice was never observable: tenants share no state, ticket results
+  // land by original batch index).  Packets without a VLAN tag form one
+  // pseudo-group on shard 0 (any replica's filter drops them
+  // identically).
   if (sc.slot.size() < kNoVlanKey + 1) {
     sc.slot.resize(kNoVlanKey + 1, 0);
     sc.stamp.resize(kNoVlanKey + 1, 0);
   }
-  if (++sc.gen == 0) {
+  if (++sc.gen == 0) {  // generation wrap: invalidate all stamps
     std::fill(sc.stamp.begin(), sc.stamp.end(), 0u);
     sc.gen = 1;
   }
   sc.groups.clear();
   sc.group_of.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const u32 key = pkts[i]->has_vlan() ? pkts[i]->vid().value() : kNoVlanKey;
+    PacketT* const p = at(i);
+    if (timed) p->ingress_tsc = now;
+    const u32 key = p->has_vlan() ? p->vid().value() : kNoVlanKey;
     if (sc.stamp[key] != sc.gen) {
       sc.stamp[key] = sc.gen;
       sc.slot[key] = static_cast<u32>(sc.groups.size());
@@ -262,6 +269,8 @@ void Dataplane::ScatterStream(ArenaPacket* const* pkts, std::size_t n,
     sc.group_of[i] = g;
   }
 
+  // Group base offsets: a running prefix per shard, in first-appearance
+  // order, so each shard's slice is a concatenation of its groups.
   sc.shard_total.assign(shard_count, 0);
   for (ScatterScratch::Group& g : sc.groups) {
     g.base = sc.shard_total[g.shard];
@@ -269,46 +278,65 @@ void Dataplane::ScatterStream(ArenaPacket* const* pkts, std::size_t n,
     sc.shard_total[g.shard] += g.count;
   }
 
-  // Pass 2 — place the packet pointers into pooled burst arrays.
-  if (sc.stream_works.size() < shard_count) sc.stream_works.resize(shard_count);
+  // Pass 2 — place the packet pointers.  The slices come from the work
+  // pool (executors return consumed storage), so a steady load
+  // allocates nothing here.
+  if (sc.works.size() < shard_count) sc.works.resize(shard_count);
+  std::size_t involved = 0;
   for (std::size_t s = 0; s < shard_count; ++s) {
     if (sc.shard_total[s] == 0) continue;
-    sc.stream_works[s].pkts = AcquireStreamBuffer();
-    sc.stream_works[s].pkts.resize(sc.shard_total[s]);
+    ++involved;
+    sc.works[s] = AcquireWork();
+    sc.works[s].slice<PacketT>().resize(sc.shard_total[s]);
   }
   for (std::size_t i = 0; i < n; ++i) {
     ScatterScratch::Group& g = sc.groups[sc.group_of[i]];
-    sc.stream_works[g.shard].pkts[g.base + g.cursor++] = pkts[i];
+    sc.works[g.shard].slice<PacketT>()[g.base + g.cursor++] = at(i);
   }
+  // +1: the submitter holds one reference until every shard is enqueued,
+  // so a fast worker cannot complete the ticket mid-dispatch.  This also
+  // makes an empty batch complete (with empty results) in Submit.
+  if (ticket)
+    ticket->shards_pending.store(involved + 1, std::memory_order_relaxed);
 
   for (std::size_t s = 0; s < shard_count; ++s) {
     if (sc.shard_total[s] == 0) continue;
+    ingress::ShardWork& work = sc.works[s];
+    work.ticket = ticket;
     inflight_.fetch_add(1, std::memory_order_acq_rel);
-    if (inline_run) {
-      ShardContext& ictx = *shard_ctx_[s];
-      std::lock_guard<std::mutex> lk(ictx.stream_m);
-      ExecuteStreamWork(s, sc.stream_works[s]);
-      sc.stream_works[s] = ingress::StreamWork{};
+    ShardContext& ctx = *shard_ctx_[s];
+    if (!cfg_.worker_threads) {
+      // Without worker threads the producer core IS the forwarding
+      // core: it runs the slice to completion itself, serialized per
+      // shard on inline_m.  Config operations still exclude this via
+      // the exclusive gate.
+      std::lock_guard<std::mutex> lk(ctx.inline_m);
+      ExecuteWork<PacketT>(s, work);
       continue;
     }
-    ShardContext& ctx = *shard_ctx_[s];
     // Backpressure on a full ring; one producer_stalls tick per stalled
     // push (not per retry) keeps the controller's signal proportional
     // to how often producers actually block.
     bool stalled = false;
-    while (!ctx.stream_queue.TryPush(std::move(sc.stream_works[s]))) {
+    while (!ctx.queue.TryPush(std::move(work))) {
       if (!stalled) {
         ctx.producer_stalls.Add(1);
         stalled = true;
       }
       std::this_thread::yield();
     }
-    sc.stream_works[s] = ingress::StreamWork{};
+    work = ingress::ShardWork{};
+    // Doorbell: ring only when the worker may be parked.  The seq_cst
+    // pairing with the worker's park sequence guarantees that if the
+    // worker saw an empty ring, we see parked == true here (or it sees
+    // our push) — a wakeup is never lost.
     if (ctx.parked.load(std::memory_order_seq_cst)) {
       { std::lock_guard<std::mutex> g(ctx.m); }
       ctx.cv.notify_one();
     }
   }
+  // A ticket's own +1 reference is released by Submit, outside the
+  // engine gate.
 }
 
 std::size_t Dataplane::PollEgress(std::vector<ArenaPacket*>& out) {
@@ -419,177 +447,46 @@ void Dataplane::SetIngressQueueDepth(std::size_t depth) {
   // every worker (queues are drained, so nothing is lost), swap the
   // storage, restart.
   for (std::size_t s = 0; s < shard_ctx_.size(); ++s) StopWorkerLocked(s);
-  for (const auto& ctx : shard_ctx_) {
-    ctx->queue.Reset(depth);
-    ctx->stream_queue.Reset(depth);
-  }
+  for (const auto& ctx : shard_ctx_) ctx->queue.Reset(depth);
   cfg_.ingress_queue_depth = depth;
   ingress_depth_.store(depth, std::memory_order_release);
   for (std::size_t s = 0; s < shard_ctx_.size(); ++s) StartWorkerLocked(s);
 }
 
-Dataplane::WorkBuffers Dataplane::AcquireWorkBuffers() {
+ingress::ShardWork Dataplane::AcquireWork() {
   std::unique_lock<std::mutex> lk(pool_mutex_, std::try_to_lock);
-  if (lk.owns_lock() && !buffer_pool_.empty()) {
-    WorkBuffers b = std::move(buffer_pool_.back());
-    buffer_pool_.pop_back();
-    return b;
-  }
-  return WorkBuffers{};
-}
-
-void Dataplane::RecycleWorkBuffers(std::vector<Packet>&& packets,
-                                   std::vector<std::size_t>&& indices) {
-  packets.clear();  // elements are consumed husks; capacity is the value
-  indices.clear();
-  std::unique_lock<std::mutex> lk(pool_mutex_, std::try_to_lock);
-  if (!lk.owns_lock() || buffer_pool_.size() >= kBufferPoolCap) return;
-  buffer_pool_.push_back(WorkBuffers{std::move(packets), std::move(indices)});
-}
-
-std::vector<ArenaPacket*> Dataplane::AcquireStreamBuffer() {
-  std::unique_lock<std::mutex> lk(pool_mutex_, std::try_to_lock);
-  if (lk.owns_lock() && !stream_pool_.empty()) {
-    std::vector<ArenaPacket*> b = std::move(stream_pool_.back());
-    stream_pool_.pop_back();
-    return b;
+  if (lk.owns_lock() && !work_pool_.empty()) {
+    ingress::ShardWork w = std::move(work_pool_.back());
+    work_pool_.pop_back();
+    return w;
   }
   return {};
 }
 
-void Dataplane::RecycleStreamBuffer(std::vector<ArenaPacket*>&& buf) {
-  buf.clear();  // pointers are handed off; capacity is the value
+void Dataplane::RecycleWork(ingress::ShardWork&& work) {
+  // Packets are handed on and the ticket reference released; the
+  // vectors' capacity is the value.
+  work.ticket.reset();
+  work.packets.clear();
+  work.burst.clear();
   std::unique_lock<std::mutex> lk(pool_mutex_, std::try_to_lock);
-  if (!lk.owns_lock() || stream_pool_.size() >= kBufferPoolCap) return;
-  stream_pool_.push_back(std::move(buf));
-}
-
-void Dataplane::ScatterAndDispatch(
-    BatchTicket&& ticket, const std::shared_ptr<ingress::TicketState>& state,
-    bool inline_run) {
-  const std::size_t shard_count = shards_.size();
-  std::vector<Packet>& batch = ticket.batch;
-  const std::size_t n = batch.size();
-  ScatterScratch& sc = tls_scatter;
-
-  // Pass 1 — group the batch by tenant (first-appearance order).  Each
-  // shard's sub-batch is laid out as whole tenant groups, maximizing the
-  // module-run length the pipeline's run segmentation sees, while the
-  // order *within* a tenant stays the arrival order — per-tenant streams
-  // are byte-identical to the ungrouped scatter (cross-tenant order
-  // within a sub-batch was never observable: tenants share no state and
-  // results gather by original batch index).  Packets without a VLAN tag
-  // form one pseudo-group on shard 0 (any replica's filter drops them
-  // identically).
-  if (sc.slot.size() < kNoVlanKey + 1) {
-    sc.slot.resize(kNoVlanKey + 1, 0);
-    sc.stamp.resize(kNoVlanKey + 1, 0);
-  }
-  if (++sc.gen == 0) {  // generation wrap: invalidate all stamps
-    std::fill(sc.stamp.begin(), sc.stamp.end(), 0u);
-    sc.gen = 1;
-  }
-  sc.groups.clear();
-  sc.group_of.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const u32 key = batch[i].has_vlan() ? batch[i].vid().value() : kNoVlanKey;
-    if (sc.stamp[key] != sc.gen) {
-      sc.stamp[key] = sc.gen;
-      sc.slot[key] = static_cast<u32>(sc.groups.size());
-      const std::size_t s =
-          key == kNoVlanKey
-              ? 0
-              : ShardForLocked(ModuleId(static_cast<u16>(key)), shard_count);
-      sc.groups.push_back(ScatterScratch::Group{static_cast<u32>(s), 0, 0, 0});
-    }
-    const u32 g = sc.slot[key];
-    ++sc.groups[g].count;
-    sc.group_of[i] = g;
-  }
-
-  // Group base offsets: a running prefix per shard, in first-appearance
-  // order, so each shard's sub-batch is a concatenation of its groups.
-  sc.shard_total.assign(shard_count, 0);
-  for (ScatterScratch::Group& g : sc.groups) {
-    g.base = sc.shard_total[g.shard];
-    g.cursor = 0;
-    sc.shard_total[g.shard] += g.count;
-  }
-
-  // Pass 2 — place the packets.  The per-shard vectors come from the
-  // recycle pool (workers return consumed sub-batch storage), so a
-  // steady load allocates nothing here.
-  if (sc.works.size() < shard_count) sc.works.resize(shard_count);
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    if (sc.shard_total[s] == 0) continue;
-    WorkBuffers buffers = AcquireWorkBuffers();
-    sc.works[s].packets = std::move(buffers.packets);
-    sc.works[s].indices = std::move(buffers.indices);
-    sc.works[s].packets.resize(sc.shard_total[s]);
-    sc.works[s].indices.resize(sc.shard_total[s]);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    ScatterScratch::Group& g = sc.groups[sc.group_of[i]];
-    const std::size_t pos = g.base + g.cursor++;
-    sc.works[g.shard].packets[pos] = std::move(batch[i]);
-    sc.works[g.shard].indices[pos] = i;
-  }
-
-  std::size_t involved = 0;
-  for (std::size_t s = 0; s < shard_count; ++s)
-    if (sc.shard_total[s] != 0) ++involved;
-  // +1: the submitter holds one reference until every shard is enqueued,
-  // so a fast worker cannot complete the ticket mid-dispatch.  This also
-  // makes an empty batch complete (with empty results) right here.
-  state->shards_pending.store(involved + 1, std::memory_order_relaxed);
-
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    if (sc.shard_total[s] == 0) continue;
-    sc.works[s].ticket = state;
-    sc.works[s].ingress_tsc = ticket.ingress_tsc;
-    inflight_.fetch_add(1, std::memory_order_acq_rel);
-    if (inline_run) {
-      ExecuteWork(s, sc.works[s]);
-      sc.works[s] = ingress::ShardWork{};
-      continue;
-    }
-    ShardContext& ctx = *shard_ctx_[s];
-    // Backpressure: a full ring parks the producer, not the queue memory.
-    while (!ctx.queue.TryPush(std::move(sc.works[s])))
-      std::this_thread::yield();
-    sc.works[s] = ingress::ShardWork{};
-    // Doorbell: ring only when the worker may be parked.  The seq_cst
-    // pairing with the worker's park sequence guarantees that if the
-    // worker saw an empty ring, we see parked == true here (or it sees
-    // our push) — a wakeup is never lost.
-    if (ctx.parked.load(std::memory_order_seq_cst)) {
-      { std::lock_guard<std::mutex> g(ctx.m); }
-      ctx.cv.notify_one();
-    }
-  }
-  // The submitter's own +1 reference is released by Submit, outside the
-  // engine gate.
+  if (!lk.owns_lock() || work_pool_.size() >= kWorkPoolCap) return;
+  work_pool_.push_back(std::move(work));
 }
 
 void Dataplane::WorkerLoop(ShardContext* ctx, std::size_t s) {
   ingress::ShardWork work;
-  ingress::StreamWork swork;
   for (;;) {
     // busy spans the pop and the execution, so the drain path's
-    // (empty ring && !busy) check never declares an in-flight sub-batch
+    // (empty ring && !busy) check never declares an in-flight item
     // quiescent.
     ctx->busy.store(true, std::memory_order_seq_cst);
     if (ctx->queue.TryPop(work)) {
-      ExecuteWork(s, work);
-      work = ingress::ShardWork{};
-      ctx->busy.store(false, std::memory_order_seq_cst);
-      continue;
-    }
-    // Run-to-completion streaming: dequeue a burst, execute it straight
-    // through the replica, emit to the egress queue.
-    if (ctx->stream_queue.TryPop(swork)) {
-      ExecuteStreamWork(s, swork);
-      swork = ingress::StreamWork{};
+      if (work.ticket) {
+        ExecuteWork<Packet>(s, work);
+      } else {
+        ExecuteWork<ArenaPacket>(s, work);
+      }
       ctx->busy.store(false, std::memory_order_seq_cst);
       continue;
     }
@@ -598,246 +495,157 @@ void Dataplane::WorkerLoop(ShardContext* ctx, std::size_t s) {
     std::unique_lock<std::mutex> lk(ctx->m);
     ctx->parked.store(true, std::memory_order_seq_cst);
     ctx->cv.wait(lk, [&] {
-      return ctx->stop.load(std::memory_order_relaxed) ||
-             !ctx->queue.empty() || !ctx->stream_queue.empty();
+      return ctx->stop.load(std::memory_order_relaxed) || !ctx->queue.empty();
     });
     ctx->parked.store(false, std::memory_order_seq_cst);
     if (ctx->stop.load(std::memory_order_relaxed)) return;
   }
 }
 
+template <typename PacketT>
 void Dataplane::ExecuteWork(std::size_t s, ingress::ShardWork& work) {
+  constexpr bool kTicket = std::is_same_v<PacketT, Packet>;
   ShardContext& ctx = *shard_ctx_[s];
   const auto t0 = std::chrono::steady_clock::now();
+  std::vector<PacketT*>& pkts = work.slice<PacketT>();
+  const std::size_t n = pkts.size();
 
-  // Input VIDs, snapshotted before processing: modules may rewrite the
+  // Ingress VIDs, snapshotted before processing: modules may rewrite the
   // VID in the packet bytes, but accounting follows the ingress tenant.
   ctx.vids.clear();
-  ctx.vids.reserve(work.packets.size());
-  for (const Packet& p : work.packets)
-    ctx.vids.push_back(p.has_vlan() ? p.vid().value() : kNoVid);
-
-  ctx.results.clear();
-  try {
-    shards_[s].ProcessBatchInto(std::move(work.packets), ctx.results);
-  } catch (...) {
-    work.ticket->RecordError(std::current_exception());
-    work.ticket->FinishOneShard();
-    inflight_.fetch_sub(1, std::memory_order_acq_rel);
-    return;
-  }
-
-  ctx.batches.Add(1);
-  ctx.packets.Add(ctx.results.size());
-  // forwarded/dropped/filtered are disjoint: they sum to packets.  The
-  // per-tenant counters mirror Pipeline's own accounting so the relaxed
-  // stats path agrees with the exact one whenever the engine is quiet.
-  for (std::size_t k = 0; k < ctx.results.size(); ++k) {
-    const PipelineResult& r = ctx.results[k];
-    const u16 vid = ctx.vids[k];
-    if (r.filter_verdict == FilterVerdict::kDropBitmap) {
-      ctx.dropped.Add(1);
-      if (vid != kNoVid) tenant_dropped_[vid].Add(1);
-    } else if (r.filter_verdict != FilterVerdict::kData) {
-      ctx.filtered.Add(1);
-    } else if (r.output && r.output->disposition == Disposition::kDrop) {
-      ctx.dropped.Add(1);
-      if (vid != kNoVid) tenant_dropped_[vid].Add(1);
-    } else {
-      ctx.forwarded.Add(1);
-      if (vid != kNoVid) tenant_forwarded_[vid].Add(1);
-    }
-  }
-
-  // Telemetry: one egress TSC read per sub-batch — every packet in it
-  // shares the Submit->completion latency — recorded per contiguous
-  // tenant run (the scatter groups tenants, so runs are maximal).
-  // Sampled tracing reuses the verdict classification above.  Reads the
-  // results BEFORE the gather below moves them out.
-  const bool sampling = telemetry_.sample_every() != 0;
-  if (work.ingress_tsc != 0 &&
-      (telemetry_.histograms_enabled() || sampling)) {
-    const u64 ns = TscClock::ToNs(TscClock::Now() - work.ingress_tsc);
-    if (telemetry_.histograms_enabled()) {
-      std::size_t k = 0;
-      const std::size_t total = ctx.results.size();
-      while (k < total) {
-        const u16 vid = ctx.vids[k];
-        std::size_t e = k + 1;
-        while (e < total && ctx.vids[e] == vid) ++e;
-        if (vid != kNoVid) telemetry_.RecordBatched(s, vid, ns, e - k);
-        k = e;
-      }
-      std::array<u64, kExecTierCount> tiers{};
-      for (const PipelineResult& r : ctx.results)
-        ++tiers[r.exec_tier < kExecTierCount ? r.exec_tier : 0];
-      for (u8 t = 0; t < kExecTierCount; ++t)
-        if (tiers[t] != 0) telemetry_.CountTier(s, t, tiers[t]);
-    }
-    if (sampling) {
-      for (std::size_t k = 0; k < ctx.results.size(); ++k) {
-        if (!telemetry_.SampleTick(s)) continue;
-        const PipelineResult& r = ctx.results[k];
-        TraceRecord rec;
-        rec.tenant = ctx.vids[k] == kNoVid ? 0 : ctx.vids[k];
-        rec.shard = static_cast<u8>(s);
-        rec.tier = r.exec_tier;
-        rec.stages = r.exec_steps;
-        if (r.filter_verdict == FilterVerdict::kDropBitmap ||
-            (r.filter_verdict == FilterVerdict::kData && r.output &&
-             r.output->disposition == Disposition::kDrop)) {
-          rec.verdict = 1;  // dropped
-        } else if (r.filter_verdict != FilterVerdict::kData) {
-          rec.verdict = 2;  // filtered
-        } else {
-          rec.verdict = 0;  // forwarded
-        }
-        rec.stream = 0;
-        rec.ns = ns;
-        telemetry_.Trace(s, rec);
-      }
-    }
-  }
-
-  // Gather: this shard's results land at their original batch positions.
-  // Distinct shards write disjoint index sets; the shards_pending
-  // decrement publishes them to whichever thread completes the ticket.
-  for (std::size_t k = 0; k < ctx.results.size(); ++k)
-    work.ticket->results[work.indices[k]] = std::move(ctx.results[k]);
-
-  // Return the consumed sub-batch storage to the producer pool and
-  // account the busy time before handing the ticket on.
-  RecycleWorkBuffers(std::move(work.packets), std::move(work.indices));
-  ctx.busy_ns.Add(static_cast<u64>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count()));
-  work.ticket->FinishOneShard();
-  inflight_.fetch_sub(1, std::memory_order_acq_rel);
-}
-
-void Dataplane::ExecuteStreamWork(std::size_t s, ingress::StreamWork& work) {
-  ShardContext& ctx = *shard_ctx_[s];
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::size_t n = work.pkts.size();
-
-  // Ingress VIDs, snapshotted before processing (modules may rewrite the
-  // VID in the packet bytes; accounting follows the ingress tenant).
-  ctx.vids.clear();
-  ctx.vids.reserve(n);
-  for (const ArenaPacket* p : work.pkts)
+  for (const PacketT* p : pkts)
     ctx.vids.push_back(p->has_vlan() ? p->vid().value() : kNoVid);
 
+  bool ok = true;
   try {
-    shards_[s].ProcessStreamBurst(work.pkts.data(), n);
+    shards_[s].ProcessStreamBurst(pkts.data(), n);
   } catch (...) {
-    // A throwing burst must not leak arena buffers: hand everything
-    // back unprocessed.
-    ReleaseToOwners(work.pkts.data(), n);
-    RecycleStreamBuffer(std::move(work.pkts));
-    inflight_.fetch_sub(1, std::memory_order_acq_rel);
-    return;
-  }
-
-  ctx.stream_bursts.Add(1);
-  ctx.stream_pkts.Add(n);
-  ctx.packets.Add(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    const ArenaPacket& p = *work.pkts[k];
-    const u16 vid = ctx.vids[k];
-    const auto fv = static_cast<FilterVerdict>(p.verdict);
-    if (fv == FilterVerdict::kDropBitmap) {
-      ctx.dropped.Add(1);
-      if (vid != kNoVid) tenant_dropped_[vid].Add(1);
-    } else if (fv != FilterVerdict::kData) {
-      ctx.filtered.Add(1);
-    } else if (p.disposition == Disposition::kDrop) {
-      ctx.dropped.Add(1);
-      if (vid != kNoVid) tenant_dropped_[vid].Add(1);
+    ok = false;
+    if constexpr (kTicket) {
+      work.ticket->RecordError(std::current_exception());
     } else {
-      ctx.forwarded.Add(1);
-      if (vid != kNoVid) tenant_forwarded_[vid].Add(1);
+      // A throwing burst must not leak arena buffers: hand everything
+      // back unprocessed.
+      ReleaseToOwners(pkts.data(), n);
     }
   }
 
-  // Telemetry: one egress TSC read per burst; latency per contiguous
-  // tenant run from that run's ingress stamp (every packet of a burst
-  // shares one SubmitStream stamp, so runs are exact).  Must run before
-  // the emit below hands packets to egress/arena.
-  const bool sampling = telemetry_.sample_every() != 0;
-  if (telemetry_.histograms_enabled() || sampling) {
-    const u64 now = TscClock::Now();
-    if (telemetry_.histograms_enabled()) {
-      std::size_t k = 0;
-      while (k < n) {
-        const u16 vid = ctx.vids[k];
-        const u64 stamp = work.pkts[k]->ingress_tsc;
-        std::size_t e = k + 1;
-        while (e < n && ctx.vids[e] == vid) ++e;
-        if (vid != kNoVid && stamp != 0)
-          telemetry_.RecordStream(s, vid, TscClock::ToNs(now - stamp), e - k);
-        k = e;
-      }
-      std::array<u64, kExecTierCount> tiers{};
-      for (std::size_t k2 = 0; k2 < n; ++k2) {
-        const u8 t = work.pkts[k2]->exec_tier;
-        ++tiers[t < kExecTierCount ? t : 0];
-      }
-      for (u8 t = 0; t < kExecTierCount; ++t)
-        if (tiers[t] != 0) telemetry_.CountTier(s, t, tiers[t]);
+  if (ok) {
+    if constexpr (kTicket) {
+      ctx.batches.Add(1);
+    } else {
+      ctx.stream_bursts.Add(1);
+      ctx.stream_pkts.Add(n);
     }
-    if (sampling) {
-      for (std::size_t k = 0; k < n; ++k) {
-        if (!telemetry_.SampleTick(s)) continue;
-        const ArenaPacket& p = *work.pkts[k];
-        TraceRecord rec;
-        rec.tenant = ctx.vids[k] == kNoVid ? 0 : ctx.vids[k];
-        rec.shard = static_cast<u8>(s);
-        rec.tier = p.exec_tier;
-        rec.stages = p.exec_steps;
-        const auto fv2 = static_cast<FilterVerdict>(p.verdict);
-        if (fv2 == FilterVerdict::kDropBitmap ||
-            (fv2 == FilterVerdict::kData &&
-             p.disposition == Disposition::kDrop)) {
-          rec.verdict = 1;  // dropped
-        } else if (fv2 != FilterVerdict::kData) {
-          rec.verdict = 2;  // filtered
-        } else {
-          rec.verdict = 0;  // forwarded
-        }
-        rec.stream = 1;
-        rec.ns = p.ingress_tsc != 0 ? TscClock::ToNs(now - p.ingress_tsc) : 0;
-        telemetry_.Trace(s, rec);
-      }
-    }
-  }
-
-  // Emit: forwarded/multicast packets go onto the egress queue in
-  // processing order; drops and non-data verdicts are recycled straight
-  // back to their arenas (compacted into the head of the burst array).
-  std::size_t ndrop = 0;
-  std::size_t nfwd = 0;
-  {
-    std::lock_guard<std::mutex> g(ctx.egress_m);
+    ctx.packets.Add(n);
+    // forwarded/dropped/filtered are disjoint: they sum to packets.  The
+    // per-tenant counters mirror Pipeline's own accounting so the
+    // relaxed stats path agrees with the exact one whenever the engine
+    // is quiet.
     for (std::size_t k = 0; k < n; ++k) {
-      ArenaPacket* p = work.pkts[k];
-      if (static_cast<FilterVerdict>(p->verdict) != FilterVerdict::kData ||
-          p->disposition == Disposition::kDrop) {
-        work.pkts[ndrop++] = p;
-      } else {
-        ctx.egress.push_back(p);
-        ++nfwd;
+      const u16 vid = ctx.vids[k];
+      switch (VerdictClass(*pkts[k])) {
+        case 0:
+          ctx.forwarded.Add(1);
+          if (vid != kNoVid) tenant_forwarded_[vid].Add(1);
+          break;
+        case 1:
+          ctx.dropped.Add(1);
+          if (vid != kNoVid) tenant_dropped_[vid].Add(1);
+          break;
+        default:
+          ctx.filtered.Add(1);
       }
     }
-  }
-  if (nfwd != 0) ctx.egress_pkts.Add(nfwd);
-  if (ndrop != 0) ReleaseToOwners(work.pkts.data(), ndrop);
 
-  RecycleStreamBuffer(std::move(work.pkts));
+    // Telemetry: one egress TSC read per item; latency per contiguous
+    // tenant run from that run's ingress stamp (every packet of one
+    // submission shares its stamp, and the scatter groups tenants, so
+    // runs are maximal and exact).  Runs before the tail below hands
+    // the packets on.
+    const bool sampling = telemetry_.sample_every() != 0;
+    if (telemetry_.histograms_enabled() || sampling) {
+      const u64 now = TscClock::Now();
+      if (telemetry_.histograms_enabled()) {
+        std::size_t k = 0;
+        while (k < n) {
+          const u16 vid = ctx.vids[k];
+          const u64 stamp = pkts[k]->ingress_tsc;
+          std::size_t e = k + 1;
+          while (e < n && ctx.vids[e] == vid) ++e;
+          if (vid != kNoVid && stamp != 0) {
+            const u64 ns = TscClock::ToNs(now - stamp);
+            if constexpr (kTicket) {
+              telemetry_.RecordBatched(s, vid, ns, e - k);
+            } else {
+              telemetry_.RecordStream(s, vid, ns, e - k);
+            }
+          }
+          k = e;
+        }
+        std::array<u64, kExecTierCount> tiers{};
+        for (const PacketT* p : pkts)
+          ++tiers[p->exec_tier < kExecTierCount ? p->exec_tier : 0];
+        for (u8 t = 0; t < kExecTierCount; ++t)
+          if (tiers[t] != 0) telemetry_.CountTier(s, t, tiers[t]);
+      }
+      if (sampling) {
+        for (std::size_t k = 0; k < n; ++k) {
+          if (!telemetry_.SampleTick(s)) continue;
+          const PacketT& p = *pkts[k];
+          TraceRecord rec;
+          rec.tenant = ctx.vids[k] == kNoVid ? 0 : ctx.vids[k];
+          rec.shard = static_cast<u8>(s);
+          rec.tier = p.exec_tier;
+          rec.stages = p.exec_steps;
+          rec.verdict = VerdictClass(p);
+          rec.stream = kTicket ? 0 : 1;
+          rec.ns = p.ingress_tsc != 0 ? TscClock::ToNs(now - p.ingress_tsc) : 0;
+          telemetry_.Trace(s, rec);
+        }
+      }
+    }
+
+    if constexpr (kTicket) {
+      // Gather: each packet moves into its result at its original batch
+      // position.  Distinct shards write disjoint positions; the
+      // shards_pending decrement publishes them to whichever thread
+      // completes the ticket.
+      ingress::TicketState& t = *work.ticket;
+      for (Packet* p : pkts)
+        TakeResult(*p, t.results[static_cast<std::size_t>(p - t.batch.data())]);
+    } else {
+      // Emit: forwarded/multicast packets go onto the egress queue in
+      // processing order; drops and non-data verdicts are recycled
+      // straight back to their arenas (compacted into the head of the
+      // burst array).
+      std::size_t ndrop = 0;
+      std::size_t nfwd = 0;
+      {
+        std::lock_guard<std::mutex> g(ctx.egress_m);
+        for (ArenaPacket* p : pkts) {
+          if (VerdictClass(*p) != 0) {
+            pkts[ndrop++] = p;
+          } else {
+            ctx.egress.push_back(p);
+            ++nfwd;
+          }
+        }
+      }
+      if (nfwd != 0) ctx.egress_pkts.Add(nfwd);
+      if (ndrop != 0) ReleaseToOwners(pkts.data(), ndrop);
+    }
+  }
+
+  // Return the consumed storage to the producer pool and account the
+  // busy time before handing the ticket on.
+  const std::shared_ptr<ingress::TicketState> ticket = std::move(work.ticket);
+  RecycleWork(std::move(work));
   ctx.busy_ns.Add(static_cast<u64>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - t0)
           .count()));
+  if (ticket) ticket->FinishOneShard();
   inflight_.fetch_sub(1, std::memory_order_acq_rel);
 }
 
@@ -845,8 +653,7 @@ void Dataplane::DrainLocked() const {
   // Caller holds the engine exclusively: no producer can enqueue, so
   // every ring drains monotonically and every worker goes idle.
   for (const auto& ctx : shard_ctx_) {
-    while (!ctx->queue.empty() || !ctx->stream_queue.empty() ||
-           ctx->busy.load(std::memory_order_seq_cst))
+    while (!ctx->queue.empty() || ctx->busy.load(std::memory_order_seq_cst))
       std::this_thread::yield();
   }
   // The dispatch-to-completion counter is the authoritative check: it
@@ -1021,7 +828,7 @@ Dataplane::ShardCounters Dataplane::ShardCountersLocked(std::size_t i) const {
   c.forwarded = ctx.forwarded.load();
   c.dropped = ctx.dropped.load();
   c.filtered = ctx.filtered.load();
-  c.queue_depth = ctx.queue.approx_size() + ctx.stream_queue.approx_size();
+  c.queue_depth = ctx.queue.approx_size();
   c.busy_ns = ctx.busy_ns.load();
   c.stream_bursts = ctx.stream_bursts.load();
   c.stream_pkts = ctx.stream_pkts.load();

@@ -1,29 +1,33 @@
-// Concurrent, epoch-versioned batched dataplane front-end.
+// Concurrent, epoch-versioned dataplane front-end.
 //
 // Scales the single functional Pipeline the way line-rate software
-// dataplanes do (cf. NDN-DPDK's per-forwarding-thread input queues):
-// packets are processed in batches, and the work is sharded across N
-// replicated Pipeline instances, each pinned to a persistent worker
-// thread that pulls work from its own bounded MPSC submission queue.
+// dataplanes do (cf. NDN-DPDK's one input queue per forwarding thread):
+// the work is sharded across N replicated Pipeline instances, each
+// pinned to a persistent worker thread that pulls work from its own
+// bounded MPSC ring and runs it to completion.
 //
-//   producer threads ──Submit(BatchTicket)──▶ per-shard MPSC rings
-//        │  (scatter: tenant → shard, lock-free enqueue; each shard's
-//        │   sub-batch is laid out as whole tenant groups so the
-//        │   pipeline's module-run segmentation sees maximal runs —
-//        │   order within a tenant is always arrival order, and results
-//        │   gather by original batch index, so the grouping is
-//        │   invisible to every per-tenant byte stream)
+//   producer threads ──Submit(BatchTicket)───┐ scatter: tenant → shard,
+//   producer threads ──SubmitStream(burst)───┤ lock-free enqueue, whole
+//        │                                   ┘ tenant groups per slice
 //        ▼
-//   shard workers pop sub-batches continuously, run
-//   Pipeline::ProcessBatchInto, and write results into the ticket's
-//   gather array; the last shard to finish completes the ticket
-//   (future + optional callback) in the caller's original batch order.
+//   ONE MPSC ring per shard: ticket slices and streaming bursts in
+//   enqueue order; the shard worker pops each item and runs its packets
+//   in place through Pipeline::ProcessStreamBurst, then
+//     * a ticket slice moves each packet into the ticket's results at
+//       its original batch position — the last shard to finish
+//       completes the ticket (future + optional callback);
+//     * a streaming burst goes to the shard's egress queue (forwarded)
+//       or back to its arena (dropped / filtered).
 //
-// There is no dispatcher thread and no per-batch fork/join rendezvous:
-// any number of producers submit concurrently, and a shard only ever
-// waits when it has no work.  ProcessBatch remains as a submit+wait
-// wrapper, byte-identical to the old path (pinned by the differential
-// tests).
+// Within a shard's slice the packets are laid out as whole tenant
+// groups, so the pipeline's module-run segmentation sees maximal runs;
+// order within a tenant is always arrival order, and ticket results
+// land by original batch index, so the grouping is invisible to every
+// per-tenant byte stream.  There is no dispatcher thread and no
+// per-batch fork/join rendezvous: any number of producers submit
+// concurrently, and a shard only ever waits when it has no work.
+// ProcessBatch remains as a submit+wait wrapper, byte-identical to the
+// single-pipeline path (pinned by the differential tests).
 //
 // The shard for a packet is chosen by a tenant→shard steering table
 // (defaulting to a hash of the tenant's VLAN/module ID), so
@@ -39,9 +43,9 @@
 //
 // Configuration changes flow through quiesced epochs: writes staged with
 // StageWrite() accumulate in a pending set, and CommitEpoch() excludes
-// new submissions, drains every shard queue, broadcasts the whole set to
+// new submissions, drains every shard ring, broadcasts the whole set to
 // every replica, and bumps the epoch counter (exposed via runtime/stats).
-// A batch therefore never observes a partially applied write set — the
+// A slice therefore never observes a partially applied write set — the
 // paper's non-disruptive reconfiguration property, now under real
 // concurrency.  ResizeShards() reuses the same quiesce machinery to grow
 // or shrink the replica set at an epoch boundary: new replicas replay the
@@ -49,14 +53,14 @@
 // re-homed, and tenants on dying shards are migrated off (state moves
 // with them) before their workers join.
 //
-// Threading contract: Submit/ProcessBatch may be called from any number
-// of producer threads concurrently with each other and with control-plane
-// operations.  Mutations (CommitEpoch, ApplyWrite, MigrateTenant,
-// ResizeShards) and the exact statistics accessors take the engine
-// exclusively and drain in-flight work first (the quiesce barrier); the
-// *_relaxed statistics accessors never quiesce — they read monotonic
-// relaxed counters and are meant for a periodic control-plane tick that
-// must not stall ingress (runtime/controller).
+// Threading contract: Submit/ProcessBatch/SubmitStream may be called
+// from any number of producer threads concurrently with each other and
+// with control-plane operations.  Mutations (CommitEpoch, ApplyWrite,
+// MigrateTenant, ResizeShards) and the exact statistics accessors take
+// the engine exclusively and drain in-flight work first (the quiesce
+// barrier); the *_relaxed statistics accessors never quiesce — they read
+// monotonic relaxed counters and are meant for a periodic control-plane
+// tick that must not stall ingress (runtime/controller).
 #pragma once
 
 #include <array>
@@ -76,7 +80,6 @@
 #include "common/counters.hpp"
 #include "ingress/batch_ticket.hpp"
 #include "ingress/mpsc_queue.hpp"
-#include "ingress/stream_work.hpp"
 #include "net/network.hpp"
 #include "pipeline/config_write.hpp"
 #include "pipeline/pipeline.hpp"
@@ -92,14 +95,16 @@ struct DataplaneConfig {
   bool reconfig_on_data_path = true;
   /// Run shards on persistent per-shard worker threads consuming MPSC
   /// submission queues (the async ingress engine).  With false the
-  /// shards run sequentially on the submitting thread — the reference
-  /// path the concurrent engine is pinned against.
+  /// submitting thread runs each shard's slice itself, serialized per
+  /// shard and in parallel across shards — the reference path the
+  /// concurrent engine is pinned against.
   bool worker_threads = true;
   /// Capacity of each shard's ingress ring (rounded up to a power of
-  /// two).  A full ring backpressures the submitting producer (it
-  /// yields and retries), bounding queue memory.  Applies to both the
-  /// batched and the streaming ring; adjustable at runtime via
-  /// SetIngressQueueDepth (the controller's adaptive-depth loop).
+  /// two), counted in work items: one ticket slice or one streaming
+  /// burst each.  A full ring backpressures the submitting producer (it
+  /// yields and retries, counted in producer_stalls), bounding queue
+  /// memory.  Adjustable at runtime via SetIngressQueueDepth (the
+  /// controller's adaptive-depth loop).
   std::size_t ingress_queue_depth = 64;
   /// Telemetry knobs (runtime/telemetry.hpp): latency histograms on the
   /// batched + streaming paths, and 1-in-N sampled packet tracing.
@@ -139,12 +144,15 @@ class Dataplane {
 
   // --- Async ingress -----------------------------------------------------------
 
-  /// Submits one batch to the per-shard ingress queues and returns a
-  /// future for its results (in the ticket's original batch order).  Any
+  /// Submits one batch to the per-shard ingress rings and returns a
+  /// future for its results (in the ticket's original batch order).  The
+  /// packets are processed in place and move into their results.  Any
   /// number of producer threads may submit concurrently; per-tenant
-  /// order is the per-shard enqueue order, so one producer's tickets
-  /// stay ordered and distinct producers racing on the *same* tenant
-  /// interleave at ticket granularity.  On the sequential engine
+  /// order is the per-shard enqueue order, shared with SubmitStream, so
+  /// one producer's tickets and bursts stay ordered per tenant and
+  /// distinct producers racing on the *same* tenant interleave at ticket
+  /// granularity.  A full ring backpressures the producer (counted in
+  /// the shard's producer_stalls).  On the sequential engine
   /// (worker_threads = false) the batch is processed inline and the
   /// returned future is already ready.
   [[nodiscard]] std::future<std::vector<PipelineResult>> Submit(
@@ -157,17 +165,18 @@ class Dataplane {
 
   // --- Streaming ingress (run-to-completion) -----------------------------------
 
-  /// Enqueues a burst of arena packets into the per-shard streaming
-  /// rings.  No ticket, no gather barrier: each shard worker runs its
-  /// slice to completion and pushes the processed packets straight onto
-  /// its egress queue.  Ownership of every packet transfers to the
-  /// dataplane here; it comes back either via PollEgress (forwarded /
-  /// multicast packets, bytes rewritten in place) or by being released
-  /// to its owning arena (dropped and filtered packets — the caller
-  /// never sees them again).  Per-tenant order is preserved end to end:
-  /// one tenant maps to one shard, whose ring and egress queue are both
-  /// FIFO.  A full ring backpressures the producer (counted in the
-  /// shard's producer_stalls).  On the sequential engine
+  /// Enqueues a burst of arena packets into the per-shard ingress rings
+  /// (the rings Submit uses).  No ticket, no gather barrier: each shard
+  /// worker runs its slice to completion and pushes the processed
+  /// packets straight onto its egress queue.  Ownership of every packet
+  /// transfers to the dataplane here; it comes back either via
+  /// PollEgress (forwarded / multicast packets, bytes rewritten in
+  /// place) or by being released to its owning arena (dropped and
+  /// filtered packets — the caller never sees them again).  Per-tenant
+  /// order is preserved end to end: one tenant maps to one shard, whose
+  /// ring and egress queue are both FIFO, also across interleaved Submit
+  /// calls of the same producer.  A full ring backpressures the producer
+  /// (counted in the shard's producer_stalls).  On the sequential engine
   /// (worker_threads = false) the burst is processed inline.
   void SubmitStream(ArenaPacket* const* pkts, std::size_t n);
 
@@ -218,10 +227,10 @@ class Dataplane {
     return egress_unbound_.load(std::memory_order_acquire);
   }
 
-  /// Quiesced resize of every shard's ingress rings (batched and
-  /// streaming) to `depth` (min 2, rounded up to a power of two) — the
-  /// controller's adaptive-depth actuator.  Drains in-flight work,
-  /// stops the workers, reallocates the rings, restarts the workers.
+  /// Quiesced resize of every shard's ingress ring to `depth` (min 2,
+  /// rounded up to a power of two) — the controller's adaptive-depth
+  /// actuator.  Drains in-flight work, stops the workers, reallocates
+  /// the rings, restarts the workers.
   void SetIngressQueueDepth(std::size_t depth);
   [[nodiscard]] std::size_t ingress_queue_depth() const {
     return ingress_depth_.load(std::memory_order_acquire);
@@ -291,20 +300,20 @@ class Dataplane {
 
   // --- Statistics --------------------------------------------------------------
 
-  /// Per-shard traffic counters, updated per sub-batch.  forwarded,
+  /// Per-shard traffic counters, updated per work item.  forwarded,
   /// dropped and filtered are disjoint and sum to packets.
   struct ShardCounters {
-    u64 batches = 0;   // sub-batches handed to this replica
+    u64 batches = 0;   // ticket slices handed to this replica
     u64 packets = 0;   // packets steered to this replica
     u64 forwarded = 0;
     u64 dropped = 0;   // filter-bitmap or ALU/deparser drops
     u64 filtered = 0;  // other non-data verdicts (reconfig, no VLAN)
-    /// Instantaneous ingress-ring occupancy (sub-batches waiting) at
+    /// Instantaneous ingress-ring occupancy (work items waiting) at
     /// snapshot time — with busy_ns the controller's per-shard
     /// utilisation signal.
     u64 queue_depth = 0;
     /// Cumulative wall-clock nanoseconds this shard's worker spent
-    /// executing sub-batches.
+    /// executing work items.
     u64 busy_ns = 0;
     /// This replica's flow-verdict cache (pipeline/flow_cache.hpp):
     /// cumulative hits/misses/evictions plus current occupancy.  Read
@@ -334,9 +343,9 @@ class Dataplane {
     u64 stream_pkts = 0;
     u64 egress_pkts = 0;
     u64 egress_depth = 0;
-    /// Producer-side pushes that found this shard's streaming ring full
-    /// (one per stalled push, not per retry) — the controller's
-    /// adaptive-depth signal.
+    /// Producer-side pushes (ticket slices and streaming bursts alike)
+    /// that found this shard's ingress ring full (one per stalled push,
+    /// not per retry) — the controller's adaptive-depth signal.
     u64 producer_stalls = 0;
   };
   /// Relaxed per-shard view: never drains traffic, but does pin the
@@ -414,20 +423,18 @@ class Dataplane {
   /// across replica-set resizes (workers and sleeping condvars point
   /// here).
   struct ShardContext {
-    explicit ShardContext(std::size_t queue_depth)
-        : queue(queue_depth), stream_queue(queue_depth) {}
+    explicit ShardContext(std::size_t queue_depth) : queue(queue_depth) {}
 
+    /// The shard's one ingress ring: ticket slices and streaming bursts
+    /// in enqueue order.  Its only consumer is the worker.
     MpscRingQueue<ingress::ShardWork> queue;
-    /// Streaming ring: bursts of arena packets run to completion by
-    /// this worker.  Both rings have exactly one consumer, the worker.
-    MpscRingQueue<ingress::StreamWork> stream_queue;
 
-    /// Serializes inline (no-worker-thread) streaming execution on this
-    /// shard's replica: producer cores run bursts to completion
+    /// Serializes inline (no-worker-thread) execution on this shard's
+    /// replica: producer cores run their slices to completion
     /// themselves under the shared gate, in parallel across shards,
     /// serialized per shard — which is also what keeps per-tenant FIFO
     /// order (a tenant maps to exactly one shard).
-    std::mutex stream_m;
+    std::mutex inline_m;
 
     // Doorbell: the worker parks on `cv` when its ring is empty;
     // producers ring it after a push when `parked` is set.  `busy` is
@@ -447,34 +454,24 @@ class Dataplane {
 
     // Traffic counters (relaxed; see CountersSnapshotRelaxed).
     RelaxedCounter batches, packets, forwarded, dropped, filtered;
-    // Wall-clock ns spent executing sub-batches (one clock pair per
-    // sub-batch, never per packet).
+    // Wall-clock ns spent executing work items (one clock pair per
+    // item, never per packet).
     RelaxedCounter busy_ns;
     // Streaming counters (see ShardCounters).
     RelaxedCounter stream_bursts, stream_pkts, egress_pkts;
     RelaxedCounter producer_stalls;
 
-    // Worker-owned scratch, reused across sub-batches.
-    std::vector<PipelineResult> results;
+    // Executor scratch (ingress VIDs), reused across work items.
     std::vector<u16> vids;
   };
 
-  /// Recycled ShardWork storage: sub-batch packet/index vectors whose
-  /// elements were consumed keep their capacity and flow back to
-  /// producers, so a steady Submit load stops allocating (the ingress
-  /// scatter-scratch pool).  Guarded by pool_mutex_; both sides use
-  /// try_lock and fall back to fresh allocation under contention.
-  struct WorkBuffers {
-    std::vector<Packet> packets;
-    std::vector<std::size_t> indices;
-  };
-  [[nodiscard]] WorkBuffers AcquireWorkBuffers();
-  void RecycleWorkBuffers(std::vector<Packet>&& packets,
-                          std::vector<std::size_t>&& indices);
-  /// Recycled streaming burst storage (pointer vectors), same pool
-  /// discipline as WorkBuffers.
-  [[nodiscard]] std::vector<ArenaPacket*> AcquireStreamBuffer();
-  void RecycleStreamBuffer(std::vector<ArenaPacket*>&& buf);
+  /// Recycled ShardWork storage: pointer vectors whose packets were
+  /// handed on keep their capacity and flow back to producers, so a
+  /// steady Submit or SubmitStream load stops allocating.  Guarded by
+  /// pool_mutex_; both sides use try_lock and fall back to fresh
+  /// allocation under contention.
+  [[nodiscard]] ingress::ShardWork AcquireWork();
+  void RecycleWork(ingress::ShardWork&& work);
 
   void WorkerLoop(ShardContext* ctx, std::size_t s);
   /// Appends one replica (replaying the config log) and starts its
@@ -483,22 +480,21 @@ class Dataplane {
   void AddShardLocked();
   void StartWorkerLocked(std::size_t s);
   void StopWorkerLocked(std::size_t s);
-  /// Runs one sub-batch on shard `s`, updates counters and completes the
-  /// shard's slice of the ticket.  Called by shard workers and by the
-  /// sequential inline path.
+  /// Scatters packets `at(0..n)` by tenant into one work item per
+  /// involved shard (slices of `ticket` when set, else a streaming
+  /// burst), stamps their ingress TSC, and pushes each item onto its
+  /// shard's ring — or, without worker threads, executes it inline.
+  /// Caller holds the engine shared.
+  template <typename PacketAt>
+  void Scatter(std::size_t n, PacketAt at,
+               const std::shared_ptr<ingress::TicketState>& ticket);
+  /// Runs one work item on shard `s` in place, accounts verdicts and
+  /// telemetry, then hands the packets on: a ticket slice moves them
+  /// into the ticket's results and finishes its shard, a streaming
+  /// burst pushes them onto the egress queue or back to their arenas.
+  /// Called by the shard worker and by the inline engine.
+  template <typename PacketT>
   void ExecuteWork(std::size_t s, ingress::ShardWork& work);
-  /// Runs one streaming burst to completion on shard `s`: process in
-  /// place, account, recycle drops to their arenas, push the rest onto
-  /// the shard's egress queue.
-  void ExecuteStreamWork(std::size_t s, ingress::StreamWork& work);
-  /// Scatters `ticket.batch` into per-shard work items.  Caller holds the
-  /// engine (shared for the async path, exclusive for inline).
-  void ScatterAndDispatch(BatchTicket&& ticket,
-                          const std::shared_ptr<ingress::TicketState>& state,
-                          bool inline_run);
-  /// Scatters a streaming burst into the per-shard streaming rings.
-  void ScatterStream(ArenaPacket* const* pkts, std::size_t n,
-                     bool inline_run);
 
   /// Waits until every shard ring is empty and every worker idle.
   /// Caller holds the engine exclusively, so no new work can arrive.
@@ -520,8 +516,9 @@ class Dataplane {
   [[nodiscard]] u64 DroppedLocked(ModuleId tenant) const;
   [[nodiscard]] std::vector<ModuleId> ActiveTenantsLocked() const;
 
-  // Writer-priority engine lock.  Producers (Submit) hold it shared for
-  // the scatter+enqueue window only; control-plane mutations and exact
+  // Writer-priority engine lock.  Producers (Submit, SubmitStream) hold
+  // it shared for the scatter+enqueue window only (the inline engine:
+  // also while running their slices); control-plane mutations and exact
   // stats hold it exclusively and drain.  `exclusive_waiting_` makes
   // producers back off while a writer waits, so a continuous submit load
   // cannot starve CommitEpoch (pthread rwlocks are reader-preferring by
@@ -596,10 +593,9 @@ class Dataplane {
   std::unordered_map<u16, u64> retired_dropped_;
   u64 retired_packets_ = 0;
 
-  // Recycled sub-batch buffer pool (see WorkBuffers).
+  // Recycled work-item pool (see AcquireWork).
   mutable std::mutex pool_mutex_;
-  std::vector<WorkBuffers> buffer_pool_;
-  std::vector<std::vector<ArenaPacket*>> stream_pool_;
+  std::vector<ingress::ShardWork> work_pool_;
 };
 
 }  // namespace menshen

@@ -1,13 +1,15 @@
-// Batch submission tickets — the unit of work on the async ingress path.
+// Batch submission tickets and the shard work unit of the ingress rings.
 //
 // A producer thread wraps one packet batch in a BatchTicket and hands it
-// to Dataplane::Submit, which scatters the batch into per-shard
-// sub-batches and enqueues one ShardWork item per involved shard.  The
-// ticket's shared state gathers the per-shard results back into the
-// original batch order; whichever shard worker finishes last completes
-// the ticket — fulfilling the future and invoking the optional
-// completion callback — so producers never rendezvous with each other
-// and the dispatcher thread of the old fork/join design disappears.
+// to Dataplane::Submit.  The batch moves into the ticket's shared state
+// and stays there: the scatter enqueues one ShardWork slice per involved
+// shard — pointers into that batch — and the shard worker runs its slice
+// in place, then moves each packet into its result slot at the packet's
+// original batch position.  Whichever worker finishes last completes the
+// ticket — fulfilling the future and invoking the optional completion
+// callback — so producers never rendezvous with each other.  A streaming
+// burst (Dataplane::SubmitStream) is the same ShardWork with arena
+// buffers instead of a ticket, on the same per-shard ring.
 #pragma once
 
 #include <atomic>
@@ -16,6 +18,7 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -23,6 +26,8 @@
 #include "pipeline/pipeline.hpp"
 
 namespace menshen {
+
+class ArenaPacket;  // packet/arena.hpp
 
 /// One batch handed to Dataplane::Submit.  The optional callback runs
 /// exactly once, on whichever thread completes the ticket (a shard
@@ -37,19 +42,17 @@ namespace menshen {
 struct BatchTicket {
   std::vector<Packet> batch;
   std::function<void(const std::vector<PipelineResult>&)> on_complete;
-  /// TSC stamp taken by Submit at ingress; shard workers subtract it at
-  /// completion to feed the batched latency histograms (runtime/
-  /// telemetry).  0 when histograms are disabled.
-  u64 ingress_tsc = 0;
 };
 
 namespace ingress {
 
-/// Shared completion state of one submitted ticket.  Shard workers write
-/// disjoint index sets of `results`, then synchronize on shards_pending
-/// (release on decrement, acquire on the last one), so the completing
-/// thread observes every sub-batch's writes.
+/// Shared completion state of one submitted ticket.  Shard workers
+/// process disjoint positions of `batch` in place and move each packet
+/// into `results` at the same position, then synchronize on
+/// shards_pending (release on decrement, acquire on the last one), so
+/// the completing thread observes every slice's writes.
 struct TicketState {
+  std::vector<Packet> batch;
   std::vector<PipelineResult> results;
   std::atomic<std::size_t> shards_pending{0};
   std::promise<std::vector<PipelineResult>> promise;
@@ -59,8 +62,8 @@ struct TicketState {
   std::atomic<bool> failed{false};
   std::exception_ptr error;
 
-  /// Called by each shard worker when its sub-batch is done (and by
-  /// Submit itself for empty batches).  The last caller completes the
+  /// Called by each shard worker when its slice is done (and by Submit
+  /// itself for its own reference).  The last caller completes the
   /// ticket.
   void FinishOneShard() {
     if (shards_pending.fetch_sub(1, std::memory_order_acq_rel) != 1) return;
@@ -81,15 +84,23 @@ struct TicketState {
   }
 };
 
-/// One shard's slice of a submitted ticket: the packets steered to that
-/// shard, plus where each result goes in the ticket's gather array.
+/// One shard's slice of a submission, in per-tenant arrival order: a
+/// ticket slice (`ticket` set, `packets` point into ticket->batch) or a
+/// streaming burst (no ticket; the dataplane owns the `burst` buffers
+/// until egress).  Exactly one of the two pointer vectors is in use.
 struct ShardWork {
   std::shared_ptr<TicketState> ticket;
-  std::vector<Packet> packets;
-  std::vector<std::size_t> indices;
-  /// Copy of the ticket's ingress TSC stamp (the executing shard reads
-  /// it without touching the shared ticket state).
-  u64 ingress_tsc = 0;
+  std::vector<Packet*> packets;
+  std::vector<ArenaPacket*> burst;
+
+  template <typename PacketT>
+  [[nodiscard]] std::vector<PacketT*>& slice() {
+    if constexpr (std::is_same_v<PacketT, Packet>) {
+      return packets;
+    } else {
+      return burst;
+    }
+  }
 };
 
 }  // namespace ingress

@@ -1,9 +1,9 @@
 // Pool-recycled packet arena — the zero-copy substrate of the streaming
 // dataplane (dataplane/Dataplane::SubmitStream).
 //
-// The batched path copies every packet at least twice (builder -> batch
-// vector -> per-shard sub-batch) and materializes a PipelineResult with
-// an optional<Packet> per packet.  The streaming path replaces that with
+// The batched path keeps each packet's bytes behind a heap ByteBuffer
+// and materializes a PipelineResult with an optional<Packet> per packet.
+// The streaming path replaces that with
 // ArenaPacket: a fixed-room, cache-line-aligned buffer owned by a
 // PacketArena free list.  Producers allocate bursts, fill bytes in
 // place, and enqueue raw pointers; the pipeline parses/deparses through
@@ -19,10 +19,13 @@
 // Release.  The arena never frees storage while packets are
 // outstanding; Release(Burst) hands buffers back for reuse.
 //
-// The byte array is the FIRST member: prefetching the ArenaPacket
-// pointer prefetches the packet's header bytes — the classify loop's
-// prefetch-ahead needs no dependent pointer chase (the batched path
-// must first load Packet, then follow its heap ByteBuffer pointer).
+// The byte array is the FIRST member, followed by the length and the
+// sidebands in the one cache line after the data room: prefetching the
+// ArenaPacket pointer prefetches the packet's header bytes, and one more
+// prefetch at +kDataRoom covers everything else the ladder touches — the
+// classify loop's prefetch-ahead needs no dependent pointer chase (a
+// Packet must first be loaded, then its heap ByteBuffer pointer
+// followed).
 //
 // The data room is a hard limit: a frame longer than kDataRoom is
 // rejected with std::length_error, never clipped — a clipped frame would
@@ -55,6 +58,16 @@ class ArenaPacket {
   /// not fit and are rejected (see Assign).
   static constexpr std::size_t kDataRoom = 2048;
 
+ private:
+  friend class PacketArena;
+
+  // Declared before every other data member: data() is the object's
+  // address, and len_ opens the line after the data room.
+  alignas(64) std::array<u8, kDataRoom> data_{};
+  std::size_t len_ = 0;
+  PacketArena* owner_ = nullptr;
+
+ public:
   ArenaPacket() = default;
   ArenaPacket(const ArenaPacket&) = delete;
   ArenaPacket& operator=(const ArenaPacket&) = delete;
@@ -136,13 +149,6 @@ class ArenaPacket {
   u64 ingress_tsc = 0;
 
   [[nodiscard]] PacketArena* owner() const { return owner_; }
-
- private:
-  friend class PacketArena;
-
-  alignas(64) std::array<u8, kDataRoom> data_{};
-  std::size_t len_ = 0;
-  PacketArena* owner_ = nullptr;
 };
 
 /// Free-list arena of ArenaPackets.  Thread-safe: any thread may

@@ -87,6 +87,11 @@ class Packet {
   /// resolved this packet, and the stages/steps that tier visited.
   u8 exec_tier = 0;
   u8 exec_steps = 0;
+  /// TSC stamp taken by Dataplane::Submit at ingress (one read per
+  /// ticket), the same sideband as ArenaPacket's; the shard executor
+  /// subtracts it at completion for the latency histograms.  0 when
+  /// telemetry is disabled.
+  u64 ingress_tsc = 0;
 
   bool operator==(const Packet& other) const {
     return bytes_ == other.bytes_;

@@ -309,10 +309,6 @@ void Pipeline::RunBurst(PacketT* const* pkts, std::size_t n) {
   }
 }
 
-namespace {
-
-/// A batched result from the sidebands the ladder left on `pkt`; a data
-/// packet moves into `output`.
 void TakeResult(Packet& pkt, PipelineResult& result) {
   result.filter_verdict = static_cast<FilterVerdict>(pkt.verdict);
   result.exec_tier = pkt.exec_tier;
@@ -320,8 +316,6 @@ void TakeResult(Packet& pkt, PipelineResult& result) {
   if (result.filter_verdict == FilterVerdict::kData)
     result.output = std::move(pkt);
 }
-
-}  // namespace
 
 PipelineResult Pipeline::Process(Packet pkt) {
   Packet* const p = &pkt;
@@ -349,6 +343,10 @@ std::vector<PipelineResult> Pipeline::ProcessBatch(
 }
 
 void Pipeline::ProcessStreamBurst(ArenaPacket* const* pkts, std::size_t n) {
+  RunBurst(pkts, n);
+}
+
+void Pipeline::ProcessStreamBurst(Packet* const* pkts, std::size_t n) {
   RunBurst(pkts, n);
 }
 

@@ -6,10 +6,12 @@
 //
 // Packets run through ONE execution ladder — flow-verdict cache ->
 // specialized kernel -> interpreted plan — instantiated for both packet
-// types: the batched API (Process / ProcessBatchInto, owned Packets) and
-// the streaming API (ProcessStreamBurst, in-place ArenaPackets) are two
-// entry points into the same templated burst loop.  ProcessUnplanned
-// is the one semantic reference every ladder tier is pinned against.
+// types.  ProcessStreamBurst runs a burst of packet pointers (Packet or
+// ArenaPacket) in place; it is what the dataplane's shard executor calls
+// for ticket slices and streaming bursts alike.  Process and
+// ProcessBatchInto run owned Packets through the same burst loop and
+// return PipelineResults.  ProcessUnplanned is the one semantic
+// reference every ladder tier is pinned against.
 #pragma once
 
 #include <array>
@@ -48,6 +50,10 @@ struct PipelineResult {
   u8 exec_steps = 0;
 };
 
+/// Fills `result` from the sidebands the ladder left on `pkt`; a data
+/// packet moves into `output`.
+void TakeResult(Packet& pkt, PipelineResult& result);
+
 class Pipeline {
  public:
   explicit Pipeline(PipelineTiming timing = OptimizedTiming(),
@@ -83,12 +89,13 @@ class Pipeline {
   [[nodiscard]] std::vector<PipelineResult> ProcessBatch(
       std::vector<Packet>&& batch);
 
-  /// Streaming entry point: runs a burst of arena packets through the
-  /// same ladder in place, in order — no PipelineResult, no packet move.
-  /// Each packet's bytes are rewritten by the planned deparse and its
+  /// In-place entry point: runs a burst of packets through the same
+  /// ladder, in order — no PipelineResult, no packet move.  Each
+  /// packet's bytes are rewritten by the planned deparse and its
   /// verdict / disposition / egress / tier sidebands are filled for the
-  /// caller to act on (enqueue to egress, recycle on drop).
+  /// caller to act on (enqueue to egress, recycle on drop, TakeResult).
   void ProcessStreamBurst(ArenaPacket* const* pkts, std::size_t n);
+  void ProcessStreamBurst(Packet* const* pkts, std::size_t n);
 
   /// The compiled execution plan for `module`'s overlay row, rebuilt
   /// when any of the configuration version counters it derives from

@@ -20,8 +20,9 @@ namespace menshen {
 
 /// Prefetch hint for a packet a few lanes ahead of a burst loop.  An
 /// ArenaPacket's byte array is its first member, so one prefetch covers
-/// the headers and a second at +kDataRoom the sidebands; a Packet's
-/// bytes sit behind its heap ByteBuffer pointer.
+/// the header line and a second at +kDataRoom the line holding its
+/// length and sidebands; a Packet's bytes sit behind its heap ByteBuffer
+/// pointer.
 inline void PrefetchPacket(const ArenaPacket& pkt) {
   const char* p = reinterpret_cast<const char*>(&pkt);
   __builtin_prefetch(p);

@@ -122,8 +122,9 @@ class Controller {
     /// view of how much of the shard's uncached load the kernels take.
     u64 kernel_pkts = 0;
     u64 kernel_fallback_pkts = 0;
-    /// Streaming path (cumulative): packets run to completion and
-    /// producer pushes that found the streaming ring full.
+    /// Streaming path (cumulative): packets run to completion, and
+    /// producer pushes (Submit or SubmitStream) that found the shard's
+    /// ingress ring full.
     u64 stream_pkts = 0;
     u64 producer_stalls = 0;
   };

@@ -230,6 +230,38 @@ TEST(Ingress, ManyOutstandingTicketsFromOneProducerStayOrdered) {
   }
 }
 
+// A full ring backpressures Submit exactly as it does SubmitStream, and
+// the stall is counted: producer_stalls is what the controller's
+// adaptive ring depth reacts to.  One long ticket keeps the only worker
+// busy while three one-packet tickets overfill the two-slot ring.
+TEST(Ingress, TicketBackpressureCountsProducerStalls) {
+  const std::vector<CompiledModule> images = CompileTenants();
+  Dataplane dp(DataplaneConfig{.num_shards = 1,
+                               .worker_threads = true,
+                               .ingress_queue_depth = 2});
+  for (const CompiledModule& m : images) dp.ApplyWrites(m.AllWrites());
+
+  const Packet pkt = CalcPacket(Tenants()[0].vid, apps::kCalcOpAdd, 7, 8);
+  BatchTicket big;
+  big.batch.assign(100000, pkt);
+  std::vector<std::future<std::vector<PipelineResult>>> futures;
+  futures.push_back(dp.Submit(std::move(big)));
+  for (int i = 0; i < 3; ++i) {
+    BatchTicket t;
+    t.batch.push_back(pkt);
+    futures.push_back(dp.Submit(std::move(t)));
+  }
+  EXPECT_EQ(futures[0].get().size(), 100000u);
+  for (std::size_t i = 1; i < futures.size(); ++i)
+    EXPECT_EQ(futures[i].get().size(), 1u);
+
+  const std::vector<Dataplane::ShardCounters> c = dp.CountersSnapshot();
+  ASSERT_EQ(c.size(), 1u);
+  EXPECT_GE(c[0].producer_stalls, 1u);
+  EXPECT_EQ(c[0].batches, 4u);
+  EXPECT_EQ(c[0].stream_bursts, 0u);
+}
+
 // --- Acceptance: multi-producer stress differential ---------------------------
 //
 // ≥4 producer threads, each owning one disjoint tenant (two producers
@@ -238,8 +270,11 @@ TEST(Ingress, ManyOutstandingTicketsFromOneProducerStayOrdered) {
 // migrates tenants.  Tenant disjointness makes every producer's stream
 // independent, so each producer checks its tickets byte-for-byte against
 // a private sequential single-pipeline reference — regardless of how the
-// producers interleave globally.
-TEST(Ingress, FourProducersConcurrentEpochsAndMigrationsByteIdentical) {
+// producers interleave globally.  Runs on both engines: with worker
+// threads, and inline, where producers run their slices concurrently
+// under the shared gate, serialized per shard.
+void RunFourProducersConcurrentEpochsAndMigrations(bool worker_threads) {
+  SCOPED_TRACE(worker_threads ? "worker threads" : "inline engine");
   constexpr std::size_t kProducers = 4;  // == Tenants().size()
   constexpr int kTicketsPerProducer = 60;
   constexpr std::size_t kPerTicket = 24;
@@ -248,7 +283,7 @@ TEST(Ingress, FourProducersConcurrentEpochsAndMigrationsByteIdentical) {
   ASSERT_EQ(Tenants().size(), kProducers);
 
   Dataplane dp(DataplaneConfig{.num_shards = 4,
-                               .worker_threads = true,
+                               .worker_threads = worker_threads,
                                .ingress_queue_depth = 8});
   for (const CompiledModule& m : images) dp.ApplyWrites(m.AllWrites());
 
@@ -332,6 +367,11 @@ TEST(Ingress, FourProducersConcurrentEpochsAndMigrationsByteIdentical) {
   // Exact totals after quiesce: every submitted packet was processed.
   EXPECT_EQ(dp.total_packets(),
             u64{kProducers} * kTicketsPerProducer * kPerTicket);
+}
+
+TEST(Ingress, FourProducersConcurrentEpochsAndMigrationsByteIdentical) {
+  for (const bool worker_threads : {true, false})
+    RunFourProducersConcurrentEpochsAndMigrations(worker_threads);
 }
 
 // --- Relaxed stats path (the controller tick's view) --------------------------
