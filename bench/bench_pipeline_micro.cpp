@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <limits>
 
+#include "../tests/linear_scan.hpp"
 #include "apps/apps.hpp"
 #include "bench_util.hpp"
 #include "common/rng.hpp"
@@ -219,7 +220,7 @@ void BM_CamLookupLinear(benchmark::State& state) {
   const auto& cam = FullCam();
   const BitVec key = FullCamProbeKey();
   for (auto _ : state)
-    benchmark::DoNotOptimize(cam.LookupLinear(key, ModuleId(2)));
+    benchmark::DoNotOptimize(test::LookupLinear(cam, key, ModuleId(2)));
 }
 BENCHMARK(BM_CamLookupLinear);
 
@@ -243,7 +244,7 @@ void BM_TcamLookupLinear(benchmark::State& state) {
   const auto& tcam = FullTcam();
   const BitVec key = BitVec::FromValue(params::kKeyBits, u64{16} << 1);
   for (auto _ : state)
-    benchmark::DoNotOptimize(tcam.LookupLinear(key, ModuleId(3)));
+    benchmark::DoNotOptimize(test::LookupLinear(tcam, key, ModuleId(3)));
 }
 BENCHMARK(BM_TcamLookupLinear);
 
@@ -616,7 +617,7 @@ void EmitMicroJson() {
   const ModuleExecPlan& exec_plan = pipe.ExecPlanFor(m);
   const Row rows[] = {
       {"micro_cam_lookup_linear",
-       MeasureNs([&] { benchmark::DoNotOptimize(cam.LookupLinear(key, m)); },
+       MeasureNs([&] { benchmark::DoNotOptimize(test::LookupLinear(cam, key, m)); },
                  kIters, kWarmup)},
       {"micro_cam_lookup_indexed",
        MeasureNs([&] { benchmark::DoNotOptimize(cam.Lookup(key, m)); },
@@ -626,7 +627,7 @@ void EmitMicroJson() {
                  kIters, kWarmup)},
       {"micro_tcam_lookup_linear",
        MeasureNs(
-           [&] { benchmark::DoNotOptimize(tcam.LookupLinear(tkey, ModuleId(3))); },
+           [&] { benchmark::DoNotOptimize(test::LookupLinear(tcam, tkey, ModuleId(3))); },
            kIters, kWarmup)},
       {"micro_tcam_lookup_narrowed",
        MeasureNs(

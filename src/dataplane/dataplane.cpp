@@ -431,10 +431,9 @@ std::vector<Delivery> Dataplane::FlushEgress(std::size_t max_hops) {
     throw;
   }
   ReleaseToOwners(unbound.data(), unbound.size());
-  if (!unbound.empty())
-    egress_unbound_.fetch_add(unbound.size(), std::memory_order_acq_rel);
+  if (!unbound.empty()) egress_unbound_.Add(unbound.size());
   if (tx.empty()) return {};
-  egress_tx_.fetch_add(tx.size(), std::memory_order_acq_rel);
+  egress_tx_.Add(tx.size());
   return egress_net_->InjectArena(tx, max_hops);
 }
 
@@ -538,71 +537,69 @@ void Dataplane::ExecuteWork(std::size_t s, ingress::ShardWork& work) {
       ctx.stream_pkts.Add(n);
     }
     ctx.packets.Add(n);
-    // forwarded/dropped/filtered are disjoint: they sum to packets.  The
-    // per-tenant counters mirror Pipeline's own accounting so the
-    // relaxed stats path agrees with the exact one whenever the engine
-    // is quiet.
-    for (std::size_t k = 0; k < n; ++k) {
+
+    // One pass per contiguous tenant run (the scatter lays each slice
+    // out as whole tenant groups, so runs are maximal): verdict counts,
+    // one add per run on the shared per-tenant counters, and one latency
+    // record per run from its ingress stamp (every packet of one
+    // submission shares it).  forwarded/dropped/filtered are disjoint
+    // and sum to packets; the per-tenant counters mirror Pipeline's own
+    // accounting, so the relaxed stats agree with the exact ones whenever
+    // the engine is quiet.  Runs before the tail below hands the packets
+    // on.
+    const bool histograms = telemetry_.histograms_enabled();
+    const bool sampling = telemetry_.sample_every() != 0;
+    const u64 now = histograms || sampling ? TscClock::Now() : 0;
+    u64 fwd = 0;
+    u64 drop = 0;
+    for (std::size_t k = 0, e = 0; k < n; k = e) {
       const u16 vid = ctx.vids[k];
-      switch (VerdictClass(*pkts[k])) {
-        case 0:
-          ctx.forwarded.Add(1);
-          if (vid != kNoVid) tenant_forwarded_[vid].Add(1);
-          break;
-        case 1:
-          ctx.dropped.Add(1);
-          if (vid != kNoVid) tenant_dropped_[vid].Add(1);
-          break;
-        default:
-          ctx.filtered.Add(1);
+      u64 run_fwd = 0;
+      u64 run_drop = 0;
+      for (e = k; e < n && ctx.vids[e] == vid; ++e) {
+        const u8 verdict = VerdictClass(*pkts[e]);
+        run_fwd += verdict == 0;
+        run_drop += verdict == 1;
+      }
+      fwd += run_fwd;
+      drop += run_drop;
+      if (vid == kNoVid) continue;
+      if (run_fwd != 0) tenant_forwarded_[vid].Add(run_fwd);
+      if (run_drop != 0) tenant_dropped_[vid].Add(run_drop);
+      const u64 stamp = pkts[k]->ingress_tsc;
+      if (histograms && stamp != 0) {
+        const u64 ns = TscClock::ToNs(now - stamp);
+        if constexpr (kTicket) {
+          telemetry_.RecordBatched(s, vid, ns, e - k);
+        } else {
+          telemetry_.RecordStream(s, vid, ns, e - k);
+        }
       }
     }
+    ctx.forwarded.Add(fwd);
+    ctx.dropped.Add(drop);
+    ctx.filtered.Add(n - fwd - drop);
 
-    // Telemetry: one egress TSC read per item; latency per contiguous
-    // tenant run from that run's ingress stamp (every packet of one
-    // submission shares its stamp, and the scatter groups tenants, so
-    // runs are maximal and exact).  Runs before the tail below hands
-    // the packets on.
-    const bool sampling = telemetry_.sample_every() != 0;
-    if (telemetry_.histograms_enabled() || sampling) {
-      const u64 now = TscClock::Now();
-      if (telemetry_.histograms_enabled()) {
-        std::size_t k = 0;
-        while (k < n) {
-          const u16 vid = ctx.vids[k];
-          const u64 stamp = pkts[k]->ingress_tsc;
-          std::size_t e = k + 1;
-          while (e < n && ctx.vids[e] == vid) ++e;
-          if (vid != kNoVid && stamp != 0) {
-            const u64 ns = TscClock::ToNs(now - stamp);
-            if constexpr (kTicket) {
-              telemetry_.RecordBatched(s, vid, ns, e - k);
-            } else {
-              telemetry_.RecordStream(s, vid, ns, e - k);
-            }
-          }
-          k = e;
-        }
-        std::array<u64, kExecTierCount> tiers{};
-        for (const PacketT* p : pkts)
-          ++tiers[p->exec_tier < kExecTierCount ? p->exec_tier : 0];
-        for (u8 t = 0; t < kExecTierCount; ++t)
-          if (tiers[t] != 0) telemetry_.CountTier(s, t, tiers[t]);
-      }
-      if (sampling) {
-        for (std::size_t k = 0; k < n; ++k) {
-          if (!telemetry_.SampleTick(s)) continue;
-          const PacketT& p = *pkts[k];
-          TraceRecord rec;
-          rec.tenant = ctx.vids[k] == kNoVid ? 0 : ctx.vids[k];
-          rec.shard = static_cast<u8>(s);
-          rec.tier = p.exec_tier;
-          rec.stages = p.exec_steps;
-          rec.verdict = VerdictClass(p);
-          rec.stream = kTicket ? 0 : 1;
-          rec.ns = p.ingress_tsc != 0 ? TscClock::ToNs(now - p.ingress_tsc) : 0;
-          telemetry_.Trace(s, rec);
-        }
+    if (histograms) {
+      std::array<u64, kExecTierCount> tiers{};
+      for (const PacketT* p : pkts)
+        ++tiers[p->exec_tier < kExecTierCount ? p->exec_tier : 0];
+      for (u8 t = 0; t < kExecTierCount; ++t)
+        if (tiers[t] != 0) telemetry_.CountTier(s, t, tiers[t]);
+    }
+    if (sampling) {
+      for (std::size_t k = 0; k < n; ++k) {
+        if (!telemetry_.SampleTick(s)) continue;
+        const PacketT& p = *pkts[k];
+        TraceRecord rec;
+        rec.tenant = ctx.vids[k] == kNoVid ? 0 : ctx.vids[k];
+        rec.shard = static_cast<u8>(s);
+        rec.tier = p.exec_tier;
+        rec.stages = p.exec_steps;
+        rec.verdict = VerdictClass(p);
+        rec.stream = kTicket ? 0 : 1;
+        rec.ns = p.ingress_tsc != 0 ? TscClock::ToNs(now - p.ingress_tsc) : 0;
+        telemetry_.Trace(s, rec);
       }
     }
 

@@ -219,13 +219,9 @@ class Dataplane {
   std::vector<Delivery> FlushEgress(std::size_t max_hops = 8);
 
   /// Packets transmitted into the bound network by FlushEgress.
-  [[nodiscard]] u64 egress_transmitted() const {
-    return egress_tx_.load(std::memory_order_acquire);
-  }
+  [[nodiscard]] u64 egress_transmitted() const { return egress_tx_.load(); }
   /// Drained packets with no binding for their egress port (recycled).
-  [[nodiscard]] u64 egress_unbound() const {
-    return egress_unbound_.load(std::memory_order_acquire);
-  }
+  [[nodiscard]] u64 egress_unbound() const { return egress_unbound_.load(); }
 
   /// Quiesced resize of every shard's ingress ring to `depth` (min 2,
   /// rounded up to a power of two) — the controller's adaptive-depth
@@ -452,14 +448,17 @@ class Dataplane {
     mutable std::mutex egress_m;
     std::vector<ArenaPacket*> egress;
 
-    // Traffic counters (relaxed; see CountersSnapshotRelaxed).
+    // Traffic counters, written by this shard's executor only (the
+    // owner contract in common/counters.hpp; see
+    // CountersSnapshotRelaxed).
     RelaxedCounter batches, packets, forwarded, dropped, filtered;
     // Wall-clock ns spent executing work items (one clock pair per
     // item, never per packet).
     RelaxedCounter busy_ns;
     // Streaming counters (see ShardCounters).
     RelaxedCounter stream_bursts, stream_pkts, egress_pkts;
-    RelaxedCounter producer_stalls;
+    // Bumped by whichever producer finds the ring full: shared.
+    SharedCounter producer_stalls;
 
     // Executor scratch (ingress VIDs), reused across work items.
     std::vector<u16> vids;
@@ -558,8 +557,9 @@ class Dataplane {
   Network* egress_net_ = nullptr;
   /// (local egress port, network host index), sorted by local port.
   std::vector<std::pair<u16, u32>> egress_hosts_;
-  std::atomic<u64> egress_tx_{0};
-  std::atomic<u64> egress_unbound_{0};
+  // Written only under egress_bind_m_.
+  RelaxedCounter egress_tx_;
+  RelaxedCounter egress_unbound_;
 
   std::atomic<u64> writes_broadcast_{0};
   std::atomic<u64> epoch_{0};
@@ -582,9 +582,10 @@ class Dataplane {
   std::vector<std::atomic<u32>> steering_;
 
   // Per-tenant monotonic counters for the relaxed stats path (indexed by
-  // VLAN/module ID, bumped by workers after each sub-batch).
-  std::vector<RelaxedCounter> tenant_forwarded_;
-  std::vector<RelaxedCounter> tenant_dropped_;
+  // VLAN/module ID, bumped by every shard's executor once per tenant run
+  // of a work item).
+  std::vector<SharedCounter> tenant_forwarded_;
+  std::vector<SharedCounter> tenant_dropped_;
 
   // Counts carried over from replicas destroyed by ResizeShards shrinks,
   // so the exact per-tenant/total accessors stay monotonic across

@@ -32,22 +32,6 @@ std::optional<std::size_t> ExactMatchCam::LookupWord(u64 key_w0,
   return kit->second;
 }
 
-std::optional<std::size_t> ExactMatchCam::LookupLinear(const BitVec& key,
-                                                       ModuleId module) const {
-  lookups_.Add();
-  CheckKeyWidth(key);
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    const CamEntry& e = entries_[i];
-    // The module ID comparison is part of the match itself: the stored
-    // entry is (key ++ module) and the search word is (key ++ module).
-    if (e.valid && e.module == module && e.key == key) {
-      hits_.Add();
-      return i;
-    }
-  }
-  return std::nullopt;
-}
-
 void ExactMatchCam::Write(std::size_t address, CamEntry entry) {
   if (address >= entries_.size())
     throw std::out_of_range("CAM address out of range");

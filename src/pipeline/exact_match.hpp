@@ -18,8 +18,9 @@
 //
 // Where a module stores the same key at several addresses the indexes
 // hold the lowest one, matching the priority of the hardware scan.  The
-// linear scan itself survives as LookupLinear, the debug/differential
-// reference the randomized match-index test pins the shadows against.
+// linear scan itself lives in the test tree (tests/linear_scan.hpp), the
+// differential reference the randomized match-index test pins the
+// shadows against.
 #pragma once
 
 #include <optional>
@@ -94,11 +95,6 @@ class ExactMatchCam {
     }
     return std::nullopt;
   }
-
-  /// The hardware's linear scan, retained as the debug/differential
-  /// reference for the shadow indexes.  Same counters, same result.
-  [[nodiscard]] std::optional<std::size_t> LookupLinear(const BitVec& key,
-                                                        ModuleId module) const;
 
   void Write(std::size_t address, CamEntry entry);
   [[nodiscard]] const CamEntry& At(std::size_t address) const;

@@ -86,22 +86,6 @@ std::optional<std::size_t> TernaryCam::LookupQuiet(const BitVec& key,
   return std::nullopt;
 }
 
-std::optional<std::size_t> TernaryCam::LookupLinear(const BitVec& key,
-                                                    ModuleId module) const {
-  lookups_.Add();
-  if (key.width() != params::kKeyBits)
-    throw std::invalid_argument("TCAM key must be 193 bits");
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    const TcamEntry& e = entries_[i];
-    if (!e.valid || e.module != module) continue;
-    if (key.masked(e.mask) == e.key.masked(e.mask)) {
-      hits_.Add();
-      return i;
-    }
-  }
-  return std::nullopt;
-}
-
 void TernaryCam::Write(std::size_t address, TcamEntry entry) {
   if (address >= entries_.size())
     throw std::out_of_range("TCAM address out of range");

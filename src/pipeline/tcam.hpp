@@ -49,11 +49,6 @@ class TernaryCam {
   [[nodiscard]] std::optional<std::size_t> Lookup(const BitVec& key,
                                                   ModuleId module) const;
 
-  /// The full-depth scan with per-entry masked temporaries, retained as
-  /// the debug/differential reference for the narrowed lookup.
-  [[nodiscard]] std::optional<std::size_t> LookupLinear(const BitVec& key,
-                                                        ModuleId module) const;
-
   /// Counter-free Lookup for the flow-verdict cache's fill path: same
   /// result and same narrowed scan, but the entries examined land in
   /// `scanned` for later bulk accounting instead of the live counters

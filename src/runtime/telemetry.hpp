@@ -4,8 +4,10 @@
 //
 // * LatencyHistogram — log-bucketed (8 sub-buckets per power-of-two
 //   octave, exact below 16 ns) relaxed-atomic histogram.  Recording is
-//   two relaxed fetch_adds; snapshots are mergeable and support
-//   p50/p90/p99/p999 extraction with bounded (~9%) bucket error.
+//   two owner-written adds (common/counters.hpp: a relaxed load and
+//   store each, no locked read-modify-write); snapshots are mergeable
+//   and support p50/p90/p99/p999 extraction with bounded (~9%) bucket
+//   error.
 // * TraceRing — per-shard single-producer/single-consumer ring of
 //   fixed-size 16-byte TraceRecords.  The producer is the shard's
 //   executor (worker thread, or the submitting thread on the inline
@@ -22,7 +24,7 @@
 //
 // Sampling: trace_sample_every = N records every Nth packet a shard
 // executes; N = 0 disables tracing entirely and the hot path pays only
-// the histogram fetch_adds (gated <= 2% by micro_telemetry_overhead).
+// the histogram adds (gated <= 2% by micro_telemetry_overhead).
 #pragma once
 
 #include <array>

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "linear_scan.hpp"
 #include "pipeline/exact_match.hpp"
 #include "pipeline/tcam.hpp"
 
@@ -133,7 +134,7 @@ TEST(ExactMatchCam, LinearReferenceAgreesWithIndex) {
   cam.Write(5, Entry(0x42, 8));
   for (const u16 m : {7, 8, 9}) {
     EXPECT_EQ(cam.Lookup(Key(0x42), ModuleId(m)),
-              cam.LookupLinear(Key(0x42), ModuleId(m)));
+              test::LookupLinear(cam, Key(0x42), ModuleId(m)));
   }
 }
 

@@ -289,6 +289,10 @@ void RunFourProducersConcurrentEpochsAndMigrations(bool worker_threads) {
 
   std::atomic<std::size_t> producers_done{0};
   std::atomic<int> failures{0};
+  // Producers hold their second half until the control thread has
+  // committed an epoch and moved a tenant, so the churn always lands
+  // mid-run however the threads are scheduled.
+  std::atomic<bool> churned{false};
 
   std::vector<std::thread> producers;
   for (std::size_t p = 0; p < kProducers; ++p) {
@@ -302,6 +306,9 @@ void RunFourProducersConcurrentEpochsAndMigrations(bool worker_threads) {
       const TenantApp& tenant = Tenants()[p];
       Rng rng(1000 + static_cast<u64>(p));
       for (int ticket_no = 0; ticket_no < kTicketsPerProducer; ++ticket_no) {
+        if (ticket_no == kTicketsPerProducer / 2)
+          while (!churned.load(std::memory_order_acquire))
+            std::this_thread::yield();
         BatchTicket ticket;
         for (std::size_t i = 0; i < kPerTicket; ++i) {
           if (tenant.spec == &apps::CalcSpec()) {
@@ -352,6 +359,7 @@ void RunFourProducersConcurrentEpochsAndMigrations(bool worker_threads) {
       const u16 vid = Tenants()[2 + (flip % 2)].vid;  // NetChain tenants
       dp.MigrateTenant(ModuleId(vid), flip % dp.num_shards());
       ++flip;
+      if (dp.migrations() != 0) churned.store(true, std::memory_order_release);
       const DataplaneStats stats = CollectDataplaneStatsRelaxed(dp);
       EXPECT_TRUE(stats.relaxed);
       std::this_thread::yield();

@@ -6,8 +6,8 @@
 // rewrites with thousands of interleaved Write / overwrite / invalidate /
 // Lookup operations over a deliberately tiny key alphabet (forcing
 // duplicate keys, priority decisions and module collisions) and assert
-// byte-identical results against the retained LookupLinear reference.
-// Run under ASAN and TSAN in CI.
+// byte-identical results against the linear-scan reference in
+// linear_scan.hpp.  Run under ASAN and TSAN in CI.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "linear_scan.hpp"
 #include "pipeline/exact_match.hpp"
 #include "pipeline/stage.hpp"
 #include "pipeline/tcam.hpp"
@@ -58,12 +59,12 @@ TEST(MatchIndexDifferential, ExactCamInterleavedOpsMatchLinearReference) {
       default: {  // lookup, both paths
         const BitVec key = RandomKey(rng);
         EXPECT_EQ(cam.Lookup(key, ModuleId(module)),
-                  cam.LookupLinear(key, ModuleId(module)));
+                  test::LookupLinear(cam, key, ModuleId(module)));
         // The one-word probe must agree with linear whenever the key is
         // representable in word 0 (which all fast-path keys are).
         if (key.high_words_zero()) {
           EXPECT_EQ(cam.LookupWord(key.word(0), ModuleId(module)),
-                    cam.LookupLinear(key, ModuleId(module)));
+                    test::LookupLinear(cam, key, ModuleId(module)));
         }
         break;
       }
@@ -108,7 +109,7 @@ TEST(MatchIndexDifferential, WideKeysAreUnreachableFromTheWordProbe) {
   // construction has no bits above 63) must not.
   EXPECT_EQ(cam.Lookup(wide.key, ModuleId(3)), 0u);
   EXPECT_EQ(cam.LookupWord(0x5, ModuleId(3)), std::nullopt);
-  EXPECT_EQ(cam.LookupLinear(Key193(0x5), ModuleId(3)), std::nullopt);
+  EXPECT_EQ(test::LookupLinear(cam, Key193(0x5), ModuleId(3)), std::nullopt);
 }
 
 TEST(MatchIndexDifferential, TernaryInterleavedOpsMatchLinearReference) {
@@ -137,7 +138,7 @@ TEST(MatchIndexDifferential, TernaryInterleavedOpsMatchLinearReference) {
       default: {
         const BitVec key = RandomKey(rng);
         EXPECT_EQ(tcam.Lookup(key, ModuleId(module)),
-                  tcam.LookupLinear(key, ModuleId(module)));
+                  test::LookupLinear(tcam, key, ModuleId(module)));
         break;
       }
     }

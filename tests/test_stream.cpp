@@ -7,14 +7,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "dataplane/dataplane.hpp"
@@ -263,77 +266,204 @@ TEST(Stream, SequentialEngineByteIdenticalToBatchedReference) {
   EXPECT_EQ(dp.total_packets(), trace.size());
 }
 
-// With no worker threads the producer core runs each burst to
-// completion itself (shared gate, per-shard serialization on
-// stream_m) — the bench's run-to-completion configuration.  Several
-// producers on distinct tenants must each see their tenant's egress
-// byte-identical to the batched reference, in order.
+// With no worker threads the producer core runs each work item to
+// completion itself (shared gate, per-shard serialization on inline_m) —
+// the bench's run-to-completion configuration.  Every producer feeds
+// every tenant, a flow-cacheable router among them, and alternates
+// Submit tickets with SubmitStream bursts, so each shard's owner-written
+// counters (common/counters.hpp) change writer through inline_m on
+// nearly every call.  Per tenant the outputs must be the reference's:
+// the same multiset of bytes, and the NetChain sequencer's numbers
+// rising in processing order on both APIs.  After quiesce every counter
+// must be exact against the ProcessUnplanned reference, and under TSAN
+// the counters' shadow writes flag any writer that bypasses inline_m.
 TEST(Stream, ConcurrentProducersInlineEngineByteIdenticalPerTenant) {
-  const std::vector<CompiledModule> images = CompileTenants();
+  constexpr u16 kCalcVid = 2;
+  constexpr u16 kSeqVid = 4;
+  constexpr u16 kRouterVid = 6;
+  const u16 vids[] = {kCalcVid, kSeqVid, kRouterVid};
+  std::vector<ConfigWrite> writes;
+  for (std::size_t i = 0; i < std::size(vids); ++i) {
+    const ModuleAllocation alloc =
+        UniformAllocation(ModuleId(vids[i]), 0, params::kNumStages, i * 4, 4,
+                          static_cast<u8>(i * 32), 32);
+    CompiledModule m;
+    if (vids[i] == kCalcVid) {
+      m = MustCompile(apps::CalcSpec(), alloc);
+      EXPECT_TRUE(apps::InstallCalcEntries(m, 11));
+    } else if (vids[i] == kSeqVid) {
+      m = MustCompile(apps::NetChainSpec(), alloc);
+      EXPECT_TRUE(apps::InstallNetChainEntries(m, 13));
+    } else {
+      m = MakeTagRouter(alloc, 40, 3);  // tag 3 is dropped
+    }
+    const std::vector<ConfigWrite> w = m.AllWrites();
+    writes.insert(writes.end(), w.begin(), w.end());
+  }
   Dataplane dp(DataplaneConfig{.num_shards = 2, .worker_threads = false});
-  for (const CompiledModule& m : images) dp.ApplyWrites(m.AllWrites());
+  dp.ApplyWrites(writes);
 
   constexpr std::size_t kProducers = 3;
-  constexpr std::size_t kBursts = 64;
+  constexpr std::size_t kCalls = 64;  // per producer: ticket, burst, ...
   constexpr std::size_t kBurst = 16;
+  constexpr std::size_t kTotal = kProducers * kCalls * kBurst;
 
+  // Traces mix all three tenants.  The reference sees every producer's
+  // trace back to back: the router and CALC are stateless, and every
+  // sequencer frame is identical, so each tenant's multiset of outputs
+  // does not depend on how the producers interleave.
   std::vector<std::vector<Packet>> traces(kProducers);
+  Pipeline reference;
+  for (const ConfigWrite& w : writes) reference.ApplyWrite(w);
   std::map<u16, std::vector<EgressRecord>> expected;
+  std::array<u64, 3> classes{};  // forwarded, dropped, filtered
+  std::size_t router_pkts = 0;
   for (std::size_t p = 0; p < kProducers; ++p) {
     Rng rng(100 + p);
-    const TenantApp& t = Tenants()[p];
-    for (std::size_t i = 0; i < kBursts * kBurst; ++i)
-      traces[p].push_back(TracePacket(t, rng));
-    expected.merge(ReferenceEgress(images, traces[p]));
+    for (std::size_t i = 0; i < kCalls * kBurst; ++i) {
+      const u16 vid = vids[rng.Below(std::size(vids))];
+      Packet pkt = vid == kCalcVid
+                       ? CalcPacket(vid,
+                                    static_cast<u16>(rng.Between(
+                                        apps::kCalcOpAdd, apps::kCalcOpEcho)),
+                                    static_cast<u32>(rng.Below(1000)),
+                                    static_cast<u32>(rng.Below(1000)))
+                   : vid == kSeqVid
+                       ? NetChainPacket(vid, apps::kNetChainOpSeq)
+                       : TagRouterPacket(vid, static_cast<u16>(rng.Below(4)));
+      router_pkts += vid == kRouterVid;
+      const PipelineResult r = reference.ProcessUnplanned(pkt);
+      if (r.filter_verdict != FilterVerdict::kData) {
+        ++classes[2];
+      } else if (r.output->disposition == Disposition::kDrop) {
+        ++classes[1];
+      } else {
+        ++classes[0];
+        expected[vid].push_back(RecordOf(*r.output));
+      }
+      traces[p].push_back(std::move(pkt));
+    }
   }
 
   std::vector<std::unique_ptr<PacketArena>> arenas;
   for (std::size_t p = 0; p < kProducers; ++p)
-    arenas.push_back(std::make_unique<PacketArena>(kBursts * kBurst));
+    arenas.push_back(std::make_unique<PacketArena>(kCalls * kBurst));
 
-  std::map<u16, std::vector<EgressRecord>> got;
+  std::map<u16, std::vector<EgressRecord>> streamed;  // in PollEgress order
+  std::map<u16, std::vector<EgressRecord>> returned;  // ticket results
   std::mutex got_m;
   std::atomic<bool> stop{false};
-  const auto drain = [&] {
-    std::vector<ArenaPacket*> egress;
-    if (dp.PollEgress(egress) == 0) return false;
-    {
-      std::lock_guard<std::mutex> lk(got_m);
-      for (const ArenaPacket* p : egress)
-        got[p->vid().value()].push_back(RecordOf(*p));
-    }
-    ReleaseToOwners(egress.data(), egress.size());
-    return true;
-  };
   std::thread consumer([&] {
-    while (!stop.load(std::memory_order_acquire))
-      if (!drain()) std::this_thread::yield();
+    std::vector<ArenaPacket*> egress;
+    while (!stop.load(std::memory_order_acquire)) {
+      egress.clear();
+      if (dp.PollEgress(egress) == 0) {
+        std::this_thread::yield();
+        continue;
+      }
+      {
+        std::lock_guard<std::mutex> lk(got_m);
+        for (const ArenaPacket* p : egress)
+          streamed[p->vid().value()].push_back(RecordOf(*p));
+      }
+      ReleaseToOwners(egress.data(), egress.size());
+    }
   });
 
+  std::atomic<std::size_t> ticket_seq_out_of_order{0};
   std::vector<std::thread> producers;
   for (std::size_t p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
+      u32 last_seq = 0;
       ArenaPacket* burst[kBurst];
-      for (std::size_t b = 0; b < kBursts; ++b) {
-        ASSERT_EQ(arenas[p]->AllocateBurst(burst, kBurst), kBurst);
-        for (std::size_t i = 0; i < kBurst; ++i)
-          burst[i]->Assign(traces[p][b * kBurst + i].bytes().bytes());
-        dp.SubmitStream(burst, kBurst);
+      for (std::size_t c = 0; c < kCalls; ++c) {
+        const Packet* frames = traces[p].data() + c * kBurst;
+        if (c % 2 == 1) {
+          ASSERT_EQ(arenas[p]->AllocateBurst(burst, kBurst), kBurst);
+          for (std::size_t i = 0; i < kBurst; ++i)
+            burst[i]->Assign(frames[i].bytes().bytes());
+          dp.SubmitStream(burst, kBurst);
+          continue;
+        }
+        BatchTicket t;
+        t.batch.assign(frames, frames + kBurst);
+        const std::vector<PipelineResult> results =
+            dp.Submit(std::move(t)).get();
+        std::lock_guard<std::mutex> lk(got_m);
+        for (const PipelineResult& r : results) {
+          if (!r.output || r.output->disposition == Disposition::kDrop)
+            continue;
+          const u16 vid = r.output->vid().value();
+          returned[vid].push_back(RecordOf(*r.output));
+          if (vid != kSeqVid) continue;
+          // One producer's tickets run in its call order.
+          if (NetChainSeq(*r.output) <= last_seq) ++ticket_seq_out_of_order;
+          last_seq = NetChainSeq(*r.output);
+        }
       }
     });
   }
   for (std::thread& t : producers) t.join();
-  // Inline bursts have fully executed once SubmitStream returns; only
-  // consumer hand-back remains.
+  // Inline work items have fully executed once Submit/SubmitStream
+  // return; only consumer hand-back remains.  The consumer is the only
+  // drainer, so `streamed` keeps PollEgress order.
   while (std::any_of(arenas.begin(), arenas.end(),
-                     [](const auto& a) { return a->outstanding() != 0; })) {
-    if (!drain()) std::this_thread::yield();
-  }
+                     [](const auto& a) { return a->outstanding() != 0; }))
+    std::this_thread::yield();
   stop.store(true, std::memory_order_release);
   consumer.join();
 
-  EXPECT_EQ(got, expected);
-  EXPECT_EQ(dp.total_packets(), kProducers * kBursts * kBurst);
+  // Bytes: per tenant, streamed + returned is the reference's multiset;
+  // the sequencer's egress rises in processing order.
+  EXPECT_EQ(ticket_seq_out_of_order.load(), 0u);
+  u32 last_seq = 0;
+  for (const EgressRecord& r : streamed[kSeqVid]) {
+    const u32 seq = (u32{r.bytes[48]} << 24) | (u32{r.bytes[49]} << 16) |
+                    (u32{r.bytes[50]} << 8) | u32{r.bytes[51]};
+    EXPECT_GT(seq, last_seq);
+    last_seq = seq;
+  }
+  const auto by_value = [](const EgressRecord& a, const EgressRecord& b) {
+    return std::tie(a.bytes, a.egress_port, a.disposition,
+                    a.multicast_ports) < std::tie(b.bytes, b.egress_port,
+                                                  b.disposition,
+                                                  b.multicast_ports);
+  };
+  for (const u16 vid : vids) {
+    SCOPED_TRACE(vid);
+    std::vector<EgressRecord> got = streamed[vid];
+    got.insert(got.end(), returned[vid].begin(), returned[vid].end());
+    std::vector<EgressRecord>& want = expected[vid];
+    std::sort(got.begin(), got.end(), by_value);
+    std::sort(want.begin(), want.end(), by_value);
+    EXPECT_EQ(got, want);
+    // Per-tenant counters, exact and relaxed.
+    const ModuleId m(vid);
+    EXPECT_EQ(dp.forwarded(m), reference.forwarded(m));
+    EXPECT_EQ(dp.dropped(m), reference.dropped(m));
+    EXPECT_EQ(dp.forwarded_relaxed(m), reference.forwarded(m));
+    EXPECT_EQ(dp.dropped_relaxed(m), reference.dropped(m));
+  }
+
+  // Shard counters: verdicts partition packets, every flow-cache probe
+  // is one burst lane, and every packet is in a latency histogram.
+  std::array<u64, 3> counted{};
+  u64 burst_lanes = 0;
+  for (const Dataplane::ShardCounters& c : dp.CountersSnapshot()) {
+    EXPECT_EQ(c.forwarded + c.dropped + c.filtered, c.packets);
+    EXPECT_EQ(c.flow_cache_hits + c.flow_cache_misses,
+              c.flow_cache_burst_pkts);
+    counted[0] += c.forwarded;
+    counted[1] += c.dropped;
+    counted[2] += c.filtered;
+    burst_lanes += c.flow_cache_burst_pkts;
+  }
+  EXPECT_EQ(counted, classes);
+  EXPECT_EQ(burst_lanes, router_pkts);
+  const TelemetrySnapshot tel = dp.telemetry().Snapshot();
+  EXPECT_EQ(tel.batched_total.count + tel.stream_total.count, kTotal);
+  EXPECT_EQ(tel.stream_total.count, kTotal / 2);
+  EXPECT_EQ(dp.total_packets(), kTotal);
 }
 
 TEST(Stream, PerTenantOrderSurvivesWorkerThreads) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <map>
 #include <thread>
@@ -413,16 +414,47 @@ TEST(DataplaneTelemetry, TickReportCarriesTenantP99) {
 
 TEST(DataplaneTelemetry, RelaxedStatsMonotoneUnderStreamingChurn) {
   // Four producers push arena bursts while a reader polls the relaxed
-  // stats: every cumulative counter and every histogram count must be
-  // non-decreasing between consecutive snapshots (run under ASAN and
-  // TSAN in CI).
+  // stats, and halfway through a control thread migrates a tenant,
+  // grows the shard set and moves the other tenant onto the new shard:
+  // every cumulative counter and every histogram count must be
+  // non-decreasing between consecutive snapshots.  Each hand-off passes
+  // the owner-written counters (common/counters.hpp) to another worker,
+  // so after quiesce every count must be exact against the
+  // ProcessUnplanned reference.  Run under ASAN and TSAN in CI.
+  constexpr u16 kCalcVid = 2;
+  constexpr u16 kRouterVid = 6;
+  CompiledModule calc = MustCompile(apps::CalcSpec(), StandardAlloc(kCalcVid));
+  apps::InstallCalcEntries(calc, 1);
+  const CompiledModule router =
+      test::MakeTagRouter(StandardAlloc(kRouterVid, 8, 4, 32), 40, 3);
+  std::vector<ConfigWrite> writes = calc.AllWrites();
+  const std::vector<ConfigWrite> router_writes = router.AllWrites();
+  writes.insert(writes.end(), router_writes.begin(), router_writes.end());
   Dataplane dp(DataplaneConfig{.num_shards = 2, .worker_threads = true});
-  LoadCalc(dp);
-  const Packet frame = CalcPacket(2, 1, 7, 5);
+  dp.ApplyWrites(writes);
+  Pipeline reference;
+  for (const ConfigWrite& w : writes) reference.ApplyWrite(w);
 
   constexpr std::size_t kProducers = 4;
   constexpr std::size_t kBursts = 64;
   constexpr std::size_t kBurst = 16;
+  constexpr u64 kTotal = kProducers * kBursts * kBurst;
+  // Producers 0 and 1 send CALC requests, 2 and 3 router tags 0..3 (tag
+  // 3 is dropped); the reference sees the same frames.
+  const auto frame = [&](std::size_t p, std::size_t i) {
+    return p < 2 ? CalcPacket(kCalcVid, 1, 7, static_cast<u32>(i % 5))
+                 : test::TagRouterPacket(kRouterVid, static_cast<u16>(i % 4));
+  };
+  std::array<u64, 3> classes{};  // forwarded, dropped, filtered
+  for (std::size_t p = 0; p < kProducers; ++p) {
+    for (std::size_t i = 0; i < kBursts * kBurst; ++i) {
+      const PipelineResult r = reference.ProcessUnplanned(frame(p, i));
+      ++classes[r.filter_verdict != FilterVerdict::kData ? 2
+                : r.output->disposition == Disposition::kDrop ? 1
+                                                              : 0];
+    }
+  }
+
   std::vector<std::unique_ptr<PacketArena>> arenas;
   for (std::size_t p = 0; p < kProducers; ++p)
     arenas.push_back(std::make_unique<PacketArena>(kBursts * kBurst));
@@ -444,13 +476,38 @@ TEST(DataplaneTelemetry, RelaxedStatsMonotoneUnderStreamingChurn) {
     }
   });
 
+  // The churn runs once a quarter of the traffic is through, including
+  // packets of both tenants (so the resize pins both where they are);
+  // producers hold their second half until it is done, so it lands
+  // mid-run.
+  std::atomic<bool> churned{false};
+  std::thread control([&] {
+    const auto seen = [&](u16 vid) {
+      return dp.forwarded_relaxed(ModuleId(vid)) +
+                 dp.dropped_relaxed(ModuleId(vid)) !=
+             0;
+    };
+    while (dp.total_packets_relaxed() < kTotal / 4 || !seen(kCalcVid) ||
+           !seen(kRouterVid))
+      std::this_thread::yield();
+    const std::size_t from = dp.ShardFor(ModuleId(kCalcVid));
+    EXPECT_TRUE(dp.MigrateTenant(ModuleId(kCalcVid), (from + 1) % 2));
+    EXPECT_EQ(dp.ResizeShards(3), 3u);
+    EXPECT_TRUE(dp.MigrateTenant(ModuleId(kRouterVid), 2));
+    churned.store(true, std::memory_order_release);
+  });
+
   std::vector<std::thread> producers;
   for (std::size_t p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
       ArenaPacket* burst[kBurst];
       for (std::size_t b = 0; b < kBursts; ++b) {
+        if (b == kBursts / 2)
+          while (!churned.load(std::memory_order_acquire))
+            std::this_thread::yield();
         if (arenas[p]->AllocateBurst(burst, kBurst) != kBurst) break;
-        for (ArenaPacket* pk : burst) pk->Assign(frame.bytes().bytes());
+        for (std::size_t i = 0; i < kBurst; ++i)
+          burst[i]->Assign(frame(p, b * kBurst + i).bytes().bytes());
         dp.SubmitStream(burst, kBurst);
       }
     });
@@ -473,9 +530,9 @@ TEST(DataplaneTelemetry, RelaxedStatsMonotoneUnderStreamingChurn) {
   }
 
   for (std::thread& t : producers) t.join();
+  control.join();
   // Wait until the workers have executed (and recorded) everything,
   // then until the consumer has handed every forwarded packet back.
-  constexpr u64 kTotal = kProducers * kBursts * kBurst;
   while (dp.telemetry().Snapshot().stream_total.count < kTotal)
     std::this_thread::yield();
   while (std::any_of(arenas.begin(), arenas.end(),
@@ -484,8 +541,35 @@ TEST(DataplaneTelemetry, RelaxedStatsMonotoneUnderStreamingChurn) {
   stop.store(true, std::memory_order_release);
   consumer.join();
 
+  EXPECT_EQ(dp.migrations(), 2u);
+  EXPECT_EQ(dp.resizes(), 1u);
   EXPECT_EQ(dp.telemetry().Snapshot().stream_total.count, kTotal);
   EXPECT_EQ(dp.total_packets(), kTotal);
+  // Exact after quiesce: verdicts partition each shard's packets and
+  // match the reference; every flow-cache probe is one burst lane, and
+  // every router packet was probed.
+  std::array<u64, 3> counted{};
+  u64 burst_lanes = 0;
+  for (const Dataplane::ShardCounters& c : dp.CountersSnapshot()) {
+    EXPECT_EQ(c.forwarded + c.dropped + c.filtered, c.packets);
+    EXPECT_EQ(c.flow_cache_hits + c.flow_cache_misses,
+              c.flow_cache_burst_pkts);
+    counted[0] += c.forwarded;
+    counted[1] += c.dropped;
+    counted[2] += c.filtered;
+    burst_lanes += c.flow_cache_burst_pkts;
+  }
+  EXPECT_EQ(counted, classes);
+  EXPECT_EQ(burst_lanes, kTotal / 2);
+  for (const u16 vid : {kCalcVid, kRouterVid}) {
+    SCOPED_TRACE(vid);
+    const ModuleId m(vid);
+    EXPECT_EQ(dp.forwarded(m), reference.forwarded(m));
+    EXPECT_EQ(dp.dropped(m), reference.dropped(m));
+    EXPECT_EQ(dp.forwarded_relaxed(m), reference.forwarded(m));
+    EXPECT_EQ(dp.dropped_relaxed(m), reference.dropped(m));
+    EXPECT_EQ(dp.telemetry().TenantSnapshot(vid).count, kTotal / 2);
+  }
 }
 
 // --- Exporter -----------------------------------------------------------------

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <stdexcept>
+
 #include "apps/apps.hpp"
 #include "compiler/compiler.hpp"
 #include "packet/packet.hpp"
@@ -88,6 +91,48 @@ inline Packet SourceRoutePacket(u16 vid, u16 tag, u16 hops) {
                  .Build();
   p.bytes().set_u16(46, tag);
   p.bytes().set_u16(48, hops);
+  return p;
+}
+
+// --- A flow-cacheable tenant -------------------------------------------------
+
+/// One-word-key router with constant port/drop actions, so its row is
+/// flow-cacheable (the burst-probe tier serves it).
+inline const ModuleSpec& TagRouterSpec() {
+  static const ModuleSpec spec = [] {
+    Diagnostics d;
+    ModuleSpec s = ParseModuleDsl(R"(
+module router {
+  field tag : 2 @ 46;
+  action fwd(p) { port(p); }
+  action sink { drop(); }
+  table routes { key = { tag }; actions = { fwd, sink }; size = 4; }
+}
+)",
+                                  d);
+    if (!d.ok()) throw std::logic_error(d.ToString());
+    return s;
+  }();
+  return spec;
+}
+
+/// The router with routes tag t -> port port_base + t for t < n_routes,
+/// and tag n_routes dropped.
+inline CompiledModule MakeTagRouter(const ModuleAllocation& alloc,
+                                    u16 port_base, u16 n_routes) {
+  CompiledModule m = MustCompile(TagRouterSpec(), alloc);
+  for (u16 t = 0; t < n_routes; ++t)
+    m.AddEntry("routes", {{"tag", t}}, std::nullopt, "fwd",
+               {static_cast<u64>(port_base + t)});
+  m.AddEntry("routes", {{"tag", n_routes}}, std::nullopt, "sink", {});
+  EXPECT_TRUE(m.ok()) << m.diags().ToString();
+  return m;
+}
+
+/// A 96-byte router request carrying `tag`.
+inline Packet TagRouterPacket(u16 vid, u16 tag) {
+  Packet p = PacketBuilder{}.vid(ModuleId(vid)).frame_size(96).Build();
+  p.bytes().set_u16(46, tag);
   return p;
 }
 
