@@ -81,15 +81,27 @@ inline constexpr std::size_t kUser = 26;        // scratch, u16 x3
 }  // namespace meta
 
 class Phv {
+  // The 128 PHV bytes are the first member, 16-byte aligned: raw() is the
+  // object's own address, Clear() is aligned 16-byte stores, and every
+  // planned move or compiled ALU slot addresses a fixed offset from it.
+  alignas(16) std::array<u8, kPhvBytes> bytes_;
+
  public:
   /// A fresh PHV is all zeroes (isolation requirement, section 4.1).
-  Phv() { bytes_.fill(0); }
+  Phv() { Clear(); }
 
   /// Re-zeroes the PHV in place so one buffer can be reused across the
   /// packets of a batch without weakening the isolation guarantee: a
   /// cleared PHV is indistinguishable from a freshly constructed one.
+  /// Eight aligned 16-byte stores: GCC lowers `bytes_.fill(0)` (and a
+  /// plain zeroing loop, via memset) to `rep stosq`, which costs several
+  /// times as much on a 128-byte object.
   void Clear() {
-    bytes_.fill(0);
+    using Lane = u64 __attribute__((vector_size(16), may_alias));
+    Lane* const lanes = reinterpret_cast<Lane*>(bytes_.data());
+#pragma GCC unroll 8
+    for (std::size_t i = 0; i < kPhvBytes / sizeof(Lane); ++i)
+      lanes[i] = Lane{};
     module_id = ModuleId(0);
   }
 
@@ -98,36 +110,45 @@ class Phv {
   // action, key-extractor slot and ALU slot goes through them).
 
   /// Reads a container as an unsigned big-endian value (2/4/6 bytes).
-  /// Dispatching on the type keeps each arm a fixed-width load the
+  /// Dispatching on the width keeps each arm a fixed-width load the
   /// compiler turns into one (or two) byte-swapped moves instead of a
   /// variable-bound byte loop — this is the innermost read of every
-  /// key-extractor slot and ALU operand.
+  /// key-extractor slot.
   [[nodiscard]] u64 Read(ContainerRef c) const {
-    const std::size_t off = ContainerOffset(c);
-    switch (c.type) {
-      case ContainerType::k2B:
-        return LoadBe<2>(bytes_.data() + off);
-      case ContainerType::k4B:
-        return LoadBe<4>(bytes_.data() + off);
-      case ContainerType::k6B:
-        return (LoadBe<4>(bytes_.data() + off) << 16) |
-               LoadBe<2>(bytes_.data() + off + 4);
-    }
-    return 0;
+    return LoadField(bytes_.data() + ContainerOffset(c),
+                     static_cast<u8>(c.width_bytes()));
   }
   void Write(ContainerRef c, u64 value) {
-    const std::size_t off = ContainerOffset(c);
-    // Values are truncated to the container width, as hardware would.
-    switch (c.type) {
-      case ContainerType::k2B:
-        StoreBe<2>(bytes_.data() + off, value);
+    StoreField(bytes_.data() + ContainerOffset(c),
+               static_cast<u8>(c.width_bytes()), value);
+  }
+
+  /// The same big-endian access on a raw PHV field of `width` 2, 4 or 6
+  /// bytes (a container, or a u16 metadata word) — the form the
+  /// compiled ALU slots run from, with the offset and width resolved
+  /// when the plan was built.  Stores truncate to the width, as
+  /// hardware would.
+  [[nodiscard]] static u64 LoadField(const u8* p, u8 width) {
+    switch (width) {
+      case 2:
+        return LoadBe<2>(p);
+      case 4:
+        return LoadBe<4>(p);
+      default:
+        return (LoadBe<4>(p) << 16) | LoadBe<2>(p + 4);
+    }
+  }
+  static void StoreField(u8* p, u8 width, u64 value) {
+    switch (width) {
+      case 2:
+        StoreBe<2>(p, value);
         return;
-      case ContainerType::k4B:
-        StoreBe<4>(bytes_.data() + off, value);
+      case 4:
+        StoreBe<4>(p, value);
         return;
-      case ContainerType::k6B:
-        StoreBe<4>(bytes_.data() + off, value >> 16);
-        StoreBe<2>(bytes_.data() + off + 4, value);
+      default:
+        StoreBe<4>(p, value >> 16);
+        StoreBe<2>(p + 4, value);
         return;
     }
   }
@@ -181,9 +202,9 @@ class Phv {
   }
 
   [[nodiscard]] std::span<const u8> raw() const { return bytes_; }
-  /// Mutable raw view for the compiled parse/deparse plans, which move
-  /// bytes by precomputed container offsets (ByteOffsetOf) instead of
-  /// per-action container dispatch.
+  /// Mutable raw view for the compiled parse/deparse plans and ALU
+  /// slots, which address bytes by precomputed offsets (ByteOffsetOf)
+  /// instead of per-action container dispatch.
   [[nodiscard]] std::span<u8> mutable_raw() { return bytes_; }
 
   /// Byte offset of a container within the PHV — the compile-time form
@@ -212,10 +233,11 @@ class Phv {
     return bytes_ == other.bytes_ && module_id == other.module_id;
   }
 
- private:
-  static constexpr std::size_t kMetaBase =
-      kContainersPerType * (2 + 4 + 6);  // metadata follows the containers
+  /// Byte offset of the 32-byte metadata container (it follows the 24
+  /// data containers); meta:: offsets are relative to it.
+  static constexpr std::size_t kMetaBase = kContainersPerType * (2 + 4 + 6);
 
+ private:
   /// Fixed-width big-endian load/store primitives (W in {2, 4}).
   template <std::size_t W>
   [[nodiscard]] static u64 LoadBe(const u8* p) {
@@ -248,8 +270,6 @@ class Phv {
     if (off + len > kMetadataBytes)
       throw std::out_of_range("PHV metadata access out of range");
   }
-
-  std::array<u8, kPhvBytes> bytes_{};
 };
 
 }  // namespace menshen

@@ -9,6 +9,12 @@
 //
 // Slot 24 is the metadata ALU; it executes the platform ops (`port`,
 // `discard`) and can also `set`/`load`/... into the user metadata scratch.
+//
+// Two forms execute the same semantics.  Execute/ExecuteInPlace decode
+// every slot's container codes per packet — the reference.  The hot path
+// runs VliwPlans: Stage::WriteVliw compiles each entry once, resolving
+// every active slot's result and operands to PHV byte offsets and widths,
+// so ExecuteCompiled is fixed-width loads and stores at known offsets.
 #pragma once
 
 #include <array>
@@ -19,14 +25,32 @@
 
 namespace menshen {
 
-/// Compiled form of one VLIW entry: the active slot indices (so execution
-/// touches only them instead of scanning all 25), and whether the entry
-/// can execute directly against the PHV without the incoming-value
-/// snapshot — true when no active slot's used operand names a container
-/// an *earlier* active slot writes, so every read still observes the
-/// incoming value.  Rebuilt by Stage::WriteVliw (the sole mutation path).
+/// One active VLIW slot compiled against the PHV layout: the result and
+/// both operands resolved to a PHV byte offset and a width of 2, 4 or 6
+/// bytes.  Codes 0-23 name a data container; slot 24 and operand codes
+/// 24-31 name the user-metadata u16 (meta::kUser), exactly as
+/// FlatToContainer decodes them.  Executing one is a fixed-width load
+/// or store at a known offset — no container decoding per packet.
+struct CompiledSlot {
+  AluOp op = AluOp::kNop;
+  u8 dst_off = 0;
+  u8 dst_width = 0;
+  u8 src1_off = 0;
+  u8 src1_width = 0;
+  u8 src2_off = 0;
+  u8 src2_width = 0;
+  u16 immediate = 0;
+};
+
+/// Compiled form of one VLIW entry: its active slots, in ascending slot
+/// order, each compiled to a CompiledSlot (so execution touches only
+/// them instead of scanning all 25), and whether the entry can execute
+/// directly against the PHV without the incoming-value snapshot — true
+/// when no active slot's used operand names a container an *earlier*
+/// active slot writes, so every read still observes the incoming value.
+/// Rebuilt by Stage::WriteVliw (the sole mutation path).
 struct VliwPlan {
-  std::array<u8, kNumAluContainers> active{};  // active slot indices, ascending
+  std::array<CompiledSlot, kNumAluContainers> slots{};
   u8 count = 0;
   bool in_place_safe = true;
 
@@ -49,13 +73,13 @@ class ActionEngine {
                              StatefulMemory& state);
 
   /// Compiled-plan variant (the module-run hot path): walks only the
-  /// plan's active slots and skips the PHV snapshot entirely when the
+  /// plan's compiled slots and skips the PHV snapshot entirely when the
   /// plan proved it safe.  `segment` is the module's stateful segment
   /// resolved once per run.  Behaviour is identical to ExecuteInPlace
-  /// (pinned by the execution-plan differential suite).  Inline (with
-  /// the slot core below): this is the innermost per-hit work.
-  static void ExecuteCompiled(const VliwEntry& vliw, const VliwPlan& plan,
-                              Phv& phv, Phv& snapshot,
+  /// (pinned by the compiled-slot differential in
+  /// tests/test_action_engine.cpp and the execution-plan suite).  Inline
+  /// (with the slot core below): this is the innermost per-hit work.
+  static void ExecuteCompiled(const VliwPlan& plan, Phv& phv, Phv& snapshot,
                               const StatefulMemory::Segment& segment) {
     if (plan.count == 0) return;
     const Phv* in = &phv;
@@ -63,95 +87,81 @@ class ActionEngine {
       snapshot = phv;
       in = &snapshot;
     }
-    for (std::size_t k = 0; k < plan.count; ++k) {
-      const u8 slot = plan.active[k];
-      ApplySlot(vliw.slots[slot], slot, *in, phv, segment);
-    }
+    const u8* const src = in->raw().data();
+    u8* const dst = phv.mutable_raw().data();
+    for (std::size_t k = 0; k < plan.count; ++k)
+      ApplyCompiledSlot(plan.slots[k], src, dst, segment);
   }
 
-  /// Single-slot fast path for the kernel layer: a row whose compiled
-  /// plan has exactly one active slot is always in_place_safe (there is
-  /// no earlier slot whose write an operand could observe), so it
-  /// executes with no snapshot and no slot loop.  Operands are read
-  /// before any write inside ApplySlot, so in == out is sound.
-  static void ApplySingleSlot(const AluAction& a, u8 dst, Phv& phv,
-                              const StatefulMemory::Segment& segment) {
-    ApplySlot(a, dst, phv, phv, segment);
-  }
-
- private:
-  /// Reads the value of flat container slot `flat` from `phv` (slot 24
-  /// reads the user metadata scratch word).
-  [[nodiscard]] static u64 ReadSlot(const Phv& phv, u8 flat) {
-    if (const auto c = FlatToContainer(flat)) return phv.Read(*c);
-    return phv.meta_u16(meta::kUser);
-  }
-  static void WriteSlot(Phv& phv, u8 flat, u64 value) {
-    if (const auto c = FlatToContainer(flat)) {
-      phv.Write(*c, value);
-    } else {
-      phv.set_meta_u16(meta::kUser, static_cast<u16>(value));
-    }
-  }
-
-  /// Executes one slot: operands from `in`, results into `out`.
-  static void ApplySlot(const AluAction& a, u8 dst, const Phv& in, Phv& out,
-                        const StatefulMemory::Segment& state) {
-    // Operands always come from the *incoming* PHV snapshot.
-    const u64 v1 = ReadSlot(in, a.container1);
-    const u64 v2 = ReadSlot(in, a.container2);
-
-    switch (a.op) {
+  /// Executes one compiled slot: operands from the PHV bytes at `in`,
+  /// results into the PHV bytes at `out`.  Both operands are read before
+  /// any write, so `in == out` is sound for a slot whose plan is
+  /// in_place_safe — the kernels' single-slot step runs a one-slot plan
+  /// this way, with no snapshot and no slot loop.
+  static void ApplyCompiledSlot(const CompiledSlot& s, const u8* in, u8* out,
+                                const StatefulMemory::Segment& state) {
+    const auto v1 = [&] {
+      return Phv::LoadField(in + s.src1_off, s.src1_width);
+    };
+    const auto v2 = [&] {
+      return Phv::LoadField(in + s.src2_off, s.src2_width);
+    };
+    const auto write = [&](u64 value) {
+      Phv::StoreField(out + s.dst_off, s.dst_width, value);
+    };
+    switch (s.op) {
       case AluOp::kNop:
         break;
       case AluOp::kAdd:
-        WriteSlot(out, dst, v1 + v2);
+        write(v1() + v2());
         break;
       case AluOp::kSub:
-        WriteSlot(out, dst, v1 - v2);
+        write(v1() - v2());
         break;
       case AluOp::kAddi:
-        WriteSlot(out, dst, v1 + a.immediate);
+        write(v1() + s.immediate);
         break;
       case AluOp::kSubi:
-        WriteSlot(out, dst, v1 - a.immediate);
+        write(v1() - s.immediate);
         break;
       case AluOp::kSet:
-        WriteSlot(out, dst, a.immediate);
+        write(s.immediate);
         break;
       case AluOp::kLoad:
-        WriteSlot(out, dst, state.Load(a.immediate));
+        write(state.Load(s.immediate));
         break;
       case AluOp::kStore:
-        state.Store(a.immediate, v1);
+        state.Store(s.immediate, v1());
         break;
       case AluOp::kLoadd:
-        WriteSlot(out, dst, state.LoadAddStore(a.immediate));
+        write(state.LoadAddStore(s.immediate));
         break;
       case AluOp::kPort:
-        out.set_meta_u16(meta::kDstPort, a.immediate);
+        Phv::StoreField(out + Phv::kMetaBase + meta::kDstPort, 2, s.immediate);
         break;
       case AluOp::kDiscard:
-        out.set_discard_flag(true);
+        out[Phv::kMetaBase + meta::kFlags] |= 1;
         break;
       case AluOp::kCopy:
-        WriteSlot(out, dst, v1);
+        write(v1());
         break;
       case AluOp::kLoadc:
-        WriteSlot(out, dst, state.Load(v2));
+        write(state.Load(v2()));
         break;
       case AluOp::kStorec:
-        state.Store(v2, v1);
+        state.Store(v2(), v1());
         break;
       case AluOp::kLoaddc:
-        WriteSlot(out, dst, state.LoadAddStore(v2));
+        write(state.LoadAddStore(v2()));
         break;
       case AluOp::kMcast:
-        out.set_meta_u16(meta::kMulticastGroup, a.immediate);
+        Phv::StoreField(out + Phv::kMetaBase + meta::kMulticastGroup, 2,
+                        s.immediate);
         break;
     }
   }
 
+ private:
   /// Shared core: evaluates every slot against the `in` snapshot and
   /// writes results into `out` (callers guarantee `out` starts equal to
   /// `in`, so kNop slots keep the incoming value).

@@ -23,13 +23,7 @@ std::optional<std::size_t> ExactMatchCam::Lookup(const BitVec& key,
 
 std::optional<std::size_t> ExactMatchCam::LookupWord(u64 key_w0,
                                                      ModuleId module) const {
-  lookups_.Add();
-  const auto mit = word_index_.find(module.value());
-  if (mit == word_index_.end()) return std::nullopt;
-  const auto kit = mit->second.find(key_w0);
-  if (kit == mit->second.end()) return std::nullopt;
-  hits_.Add();
-  return kit->second;
+  return LookupWordWith(WordIndexFor(module), key_w0);
 }
 
 void ExactMatchCam::Write(std::size_t address, CamEntry entry) {
@@ -44,15 +38,20 @@ void ExactMatchCam::Write(std::size_t address, CamEntry entry) {
 void ExactMatchCam::RebuildIndex() {
   index_.clear();
   word_index_.clear();
-  // Ascending address order + emplace (first insertion wins) keeps the
-  // lowest address for duplicate (key, module) pairs — the priority the
-  // linear scan implements.
+  // Ascending address order keeps the lowest address for duplicate
+  // (key, module) pairs — the priority the linear scan implements: the
+  // hash index's emplace lets the first insertion win, and the word
+  // index's scan meets the first appended entry first.
   for (std::size_t i = 0; i < entries_.size(); ++i) {
     const CamEntry& e = entries_[i];
     if (!e.valid) continue;
     index_[e.module.value()].emplace(e.key, static_cast<u32>(i));
-    if (e.key_hi_zero)
-      word_index_[e.module.value()].emplace(e.key_w0, static_cast<u32>(i));
+    if (e.key_hi_zero) {
+      WordIndex& w = word_index_[e.module.value()];
+      w.keys[w.count] = e.key_w0;
+      w.addrs[w.count] = static_cast<u8>(i);
+      ++w.count;
+    }
   }
 }
 

@@ -7,22 +7,25 @@
 // key bits collide.  The lookup result (the matching address) indexes the
 // VLIW action table.
 //
-// The data path never scans the array: Write keeps two hash-indexed
-// shadows coherent with the stored entries, and Lookup is a probe —
+// The data path never scans the stored entries: Write keeps two
+// per-module shadows coherent with them, and Lookup probes a shadow —
 //
-//   * a per-module BitVec-keyed index for full 193-bit keys, and
-//   * a per-module u64-keyed index over the entries whose key fits word 0
-//     (every bit above 63 zero), serving the one-word fast path the
+//   * a per-module BitVec-keyed hash index for full 193-bit keys, and
+//   * a per-module word index over the entries whose key fits word 0
+//     (every bit above 63 zero): a key array and an address array in
+//     address order, scanned linearly (at most kCamDepth entries, all in
+//     two or three cache lines).  It serves the one-word fast path the
 //     stage's key plan compiles when a module's masked key layout fits a
 //     single 64-bit word.
 //
-// Where a module stores the same key at several addresses the indexes
-// hold the lowest one, matching the priority of the hardware scan.  The
-// linear scan itself lives in the test tree (tests/linear_scan.hpp), the
-// differential reference the randomized match-index test pins the
-// shadows against.
+// Where a module stores the same key at several addresses the hash index
+// holds the lowest one and the word scan meets it first, matching the
+// priority of the hardware scan.  The linear scan over the stored entries
+// lives in the test tree (tests/linear_scan.hpp), the differential
+// reference the randomized match-index test pins the shadows against.
 #pragma once
 
+#include <array>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -35,9 +38,6 @@ namespace menshen {
 
 class ExactMatchCam {
  public:
-  explicit ExactMatchCam(std::size_t depth = params::kCamDepth)
-      : entries_(depth) {}
-
   [[nodiscard]] std::size_t depth() const { return entries_.size(); }
 
   /// Looks up `key` (already masked by the module's key mask) augmented
@@ -48,16 +48,33 @@ class ExactMatchCam {
 
   /// One-word fast path: looks up a masked key whose set bits all lie in
   /// word 0, passed as a plain u64.  Behaviourally identical to Lookup
-  /// with the zero-extended 193-bit key — pure integer hash probe.
+  /// with the zero-extended 193-bit key — a linear integer compare over
+  /// the module's word index.
   [[nodiscard]] std::optional<std::size_t> LookupWord(u64 key_w0,
                                                       ModuleId module) const;
+
+  /// One module's one-word shadow: the word-0 keys of its valid entries
+  /// with no key bit above 63, and their addresses, in address order.
+  /// Duplicates are kept; the scan returns the first, lowest address.
+  struct WordIndex {
+    u32 count = 0;
+    std::array<u64, params::kCamDepth> keys{};
+    std::array<u8, params::kCamDepth> addrs{};
+
+    /// Quiet probe (no counters): the lowest address storing `key`.
+    [[nodiscard]] std::optional<std::size_t> Find(u64 key) const {
+      for (u32 i = 0; i < count; ++i)
+        if (keys[i] == key) return addrs[i];
+      return std::nullopt;
+    }
+  };
 
   // Per-module shadow-index handles, resolved once per module run so
   // the per-packet probe skips the outer module-map hop.  A handle is
   // invalidated by any Write (the indexes rebuild); run contexts never
   // span a configuration change, so they re-resolve in time.  A null
   // handle is valid and always misses (module owns no indexed entries).
-  using WordIndexHandle = const std::unordered_map<u64, u32>*;
+  using WordIndexHandle = const WordIndex*;
   using KeyIndexHandle = const std::unordered_map<BitVec, u32>*;
   [[nodiscard]] WordIndexHandle WordIndexFor(ModuleId module) const {
     const auto mit = word_index_.find(module.value());
@@ -68,18 +85,14 @@ class ExactMatchCam {
     return mit == index_.end() ? nullptr : &mit->second;
   }
   /// LookupWord against a pre-resolved handle: same result, same
-  /// counters, one hash probe.
+  /// counters, no module-map hop.
   [[nodiscard]] std::optional<std::size_t> LookupWordWith(WordIndexHandle h,
                                                           u64 key_w0) const {
     lookups_.Add();
-    if (h != nullptr) {
-      const auto kit = h->find(key_w0);
-      if (kit != h->end()) {
-        hits_.Add();
-        return kit->second;
-      }
-    }
-    return std::nullopt;
+    if (h == nullptr) return std::nullopt;
+    const auto address = h->Find(key_w0);
+    if (address) hits_.Add();
+    return address;
   }
   /// Lookup against a pre-resolved handle (wide-key path).
   [[nodiscard]] std::optional<std::size_t> LookupWith(KeyIndexHandle h,
@@ -133,12 +146,13 @@ class ExactMatchCam {
   /// only; the array is 16 entries deep).
   void RebuildIndex();
 
-  std::vector<CamEntry> entries_;
+  // kCamDepth entries: the capacity of a word index.
+  std::vector<CamEntry> entries_ = std::vector<CamEntry>(params::kCamDepth);
   // module -> (stored key -> lowest matching address).
   std::unordered_map<u16, std::unordered_map<BitVec, u32>> index_;
-  // module -> (key word 0 -> lowest matching address), entries with
-  // key_hi_zero only — the reachable set of the one-word fast path.
-  std::unordered_map<u16, std::unordered_map<u64, u32>> word_index_;
+  // module -> word index over its entries with key_hi_zero — the
+  // reachable set of the one-word fast path.
+  std::unordered_map<u16, WordIndex> word_index_;
   mutable RelaxedCounter lookups_;
   mutable RelaxedCounter hits_;
   u64 version_ = 0;

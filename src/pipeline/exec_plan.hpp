@@ -34,10 +34,11 @@ class Stage;
 
 /// One surviving parse/deparse action compiled to raw byte movement:
 /// the PHV container resolved to its byte offset at plan-compile time,
-/// so the hot path is a bounds check and a memcpy.
+/// so the hot path is a bounds check and one fixed-width 2-, 4- or
+/// 6-byte move (MoveContainerBytes, pipeline/plan_exec.hpp).
 struct PlannedMove {
   u8 phv_off = 0;  // container byte offset within the PHV
-  u8 width = 0;    // container width in bytes
+  u8 width = 0;    // container width in bytes: 2, 4 or 6
   u8 pkt_off = 0;  // byte offset within the parser window
 };
 

@@ -139,7 +139,7 @@ FlowVerdict& FlowVerdictCache::SlotFor(FlowRowState& row, ModuleId module,
                                        const KeyWordArray& words, bool& hit) {
   if (row.slots.empty()) row.slots.resize(slots_per_row_);
   FlowVerdict& v = row.slots[SlotIndex(module, words)];
-  hit = v.valid && v.module == module && v.words == words;
+  hit = v.valid && v.module == module && SameWords(v.words, words);
   return v;
 }
 
@@ -182,7 +182,8 @@ std::size_t FlowVerdictCache::BurstProbe(FlowRowState& row, ModuleId module,
       }
     }
     const FlowVerdict& v = row.slots[s];
-    if (!pending && v.valid && v.module == module && v.words == words[k]) {
+    if (!pending && v.valid && v.module == module &&
+        SameWords(v.words, words[k])) {
       verdicts[k] = &v;
       ++hits;
     } else {
@@ -229,8 +230,7 @@ void FlowVerdictCache::BuildVerdict(const FlowRowState& row,
       const BitVec key = BitVec::FromValue(params::kKeyBits, word);
       address = stage.tcam().LookupQuiet(key, module, scanned);
     } else if (const auto* h = stage.cam().WordIndexFor(module)) {
-      const auto it = h->find(word);
-      if (it != h->end()) address = it->second;
+      address = h->Find(word);
     }
     FlowVerdict::StageOutcome& o = v.outcomes[s];
     o.probed = !k.skip;

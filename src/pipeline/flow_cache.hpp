@@ -148,6 +148,15 @@ class FlowVerdictCache {
  public:
   using KeyWordArray = std::array<u64, params::kNumStages>;
 
+  /// Key-word equality as one XOR-OR chain over the five words, inline:
+  /// std::array's operator== compiles to a memcmp call at this size.
+  [[nodiscard]] static bool SameWords(const KeyWordArray& a,
+                                      const KeyWordArray& b) {
+    u64 diff = 0;
+    for (std::size_t s = 0; s < a.size(); ++s) diff |= a[s] ^ b[s];
+    return diff == 0;
+  }
+
   /// Returns `row`'s cache state, refreshed for the configuration stamp
   /// `stamp` (the pipeline's ConfigVersionSum at the matching ExecPlanFor
   /// call).  On a stamp move the row config is re-snapshotted; verdicts
@@ -196,7 +205,7 @@ class FlowVerdictCache {
                              ModuleId module, const KeyWordArray& words,
                              bool& hit) {
     FlowVerdict& v = row.slots[slot];
-    hit = v.valid && v.module == module && v.words == words;
+    hit = v.valid && v.module == module && SameWords(v.words, words);
     return v;
   }
 

@@ -18,11 +18,9 @@ namespace {
 /// never a slot loop (count <= 1 implies in_place_safe).
 template <bool kMultiSlot>
 inline void RunStep(KernelStep& st, Phv& phv, Phv& snapshot) {
-  const VliwEntry* vliw;
   const VliwPlan* plan;
   if (st.constant) {
     // Resolved (and fully accounted) by Stage::BeginRun.
-    vliw = st.const_vliw;
     plan = st.const_plan;
   } else {
     u64 key;
@@ -52,17 +50,16 @@ inline void RunStep(KernelStep& st, Phv& phv, Phv& snapshot) {
             st.word_mask;
     }
     // Quiet probe with a last-key memo — the CAM cannot change mid-run,
-    // so a repeated key replays the previous outcome without re-hashing.
+    // so a repeated key replays the previous outcome without re-scanning.
     // Counter deltas accumulate below and flush once per run.
     if (!st.memo_valid || key != st.memo_key) {
       st.memo_valid = true;
       st.memo_key = key;
       st.memo_hit = false;
       if (st.word_index != nullptr) {
-        const auto it = st.word_index->find(key);
-        if (it != st.word_index->end()) {
+        if (const auto address = st.word_index->Find(key)) {
           st.memo_hit = true;
-          st.memo_addr = it->second;
+          st.memo_addr = static_cast<u32>(*address);
         }
       }
     }
@@ -71,15 +68,16 @@ inline void RunStep(KernelStep& st, Phv& phv, Phv& snapshot) {
       return;  // miss: default action is a no-op
     }
     ++st.hits;
-    vliw = st.vliw_table + st.memo_addr;
     plan = st.vliw_plans + st.memo_addr;
   }
   if constexpr (kMultiSlot) {
-    ActionEngine::ExecuteCompiled(*vliw, *plan, phv, snapshot, st.segment);
+    ActionEngine::ExecuteCompiled(*plan, phv, snapshot, st.segment);
   } else {
+    // One compiled slot, operands read before its write: in == out.
     if (plan->count != 0) {
-      const u8 slot = plan->active[0];
-      ActionEngine::ApplySingleSlot(vliw->slots[slot], slot, phv, st.segment);
+      u8* const bytes = phv.mutable_raw().data();
+      ActionEngine::ApplyCompiledSlot(plan->slots[0], bytes, bytes,
+                                      st.segment);
     }
   }
 }
@@ -169,11 +167,14 @@ const char* KernelShapeName(u8 shape) {
   static const std::array<std::string, kKernelShapeCount> names = [] {
     std::array<std::string, kKernelShapeCount> n;
     for (std::size_t id = 0; id < kKernelShapeCount; ++id) {
-      std::string s = "s" + std::to_string(id & 0x7u);
+      // Built front to back by appends: GCC 12 reports a false-positive
+      // -Wrestrict on prepending to a string through a temporary.
+      std::string& s = n[id];
+      if (id & 0x20u) s += "wide/ternary:";
+      s += 's';
+      s += std::to_string(id & 0x7u);
       if (id & 0x08u) s += "+stateful";
       if (id & 0x10u) s += "+multislot";
-      if (id & 0x20u) s = "wide/ternary:" + s;
-      n[id] = std::move(s);
     }
     return n;
   }();
@@ -193,7 +194,6 @@ bool BuildKernelRun(const Stage* stages, std::size_t num_stages,
       if (c.constant_vliw_plan->count == 0) continue;  // all-nop action
       KernelStep& st = kr.steps[kr.num_steps++];
       st.constant = true;
-      st.const_vliw = c.constant_vliw;
       st.const_plan = c.constant_vliw_plan;
       st.segment = c.segment;
       st.stage = static_cast<u8>(s);
@@ -208,7 +208,6 @@ bool BuildKernelRun(const Stage* stages, std::size_t num_stages,
     st.key_nparts = c.kx->CompileWord0(c.plan->active_slots,
                                        c.plan->pred_active, st.key_parts);
     st.word_index = c.word_index;
-    st.vliw_table = stages[s].vliw_table_data();
     st.vliw_plans = stages[s].vliw_plans_data();
     st.word_mask = c.plan->word_mask;
     st.active_slots = c.plan->active_slots;
@@ -251,10 +250,8 @@ bool KernelRecordVerdict(const FlowRowState& row, const Stage* stages,
                : (k.kx.ExtractKeyWord0(phv, k.active_slots, k.pred_active) &
                   k.word_mask);
     std::optional<std::size_t> address;
-    if (const auto* h = stages[s].cam().WordIndexFor(module)) {
-      const auto it = h->find(word);  // quiet: Accumulate owes the deltas
-      if (it != h->end()) address = it->second;
-    }
+    if (const auto* h = stages[s].cam().WordIndexFor(module))
+      address = h->Find(word);  // quiet: Accumulate owes the deltas
     FlowVerdict::StageOutcome& o = v.outcomes[s];
     o.probed = !k.skip;
     o.hit = address.has_value();

@@ -8,7 +8,7 @@
 // wide-or-ternary — and each module run dispatches to a templated
 // straight-line kernel instantiated per shape.  A kernel fuses the
 // whole per-packet loop — planned parse byte-moves, key-word
-// extraction, hash probe, VLIW effect application with snapshot
+// extraction, CAM word-index probe, compiled VLIW slots with snapshot
 // elision, planned deparse — into one function with a single pass over
 // the PHV: the step count is a compile-time constant (the stage loop
 // unrolls), single-slot rows skip the snapshot and the slot loop, and
@@ -35,7 +35,7 @@
 // Each probing step also memoizes its last (key -> outcome) pair: a run
 // never spans a configuration change, so a repeated key — the common
 // case under zipfian flow locality — replays the previous outcome
-// without re-hashing.  Counters still advance per packet.
+// without re-probing.  Counters still advance per packet.
 #pragma once
 
 #include <array>
@@ -71,8 +71,8 @@ inline constexpr std::size_t kKernelShapeCount = 64;
 
 /// One stage's contribution to a kernel run.  Two forms:
 ///  - probe (constant == false): extract the one-word key from the
-///    evolving PHV, hash-probe the per-module CAM shadow index, apply
-///    the matched row's compiled VLIW plan;
+///    evolving PHV, probe the per-module CAM word index, apply the
+///    matched row's compiled VLIW plan;
 ///  - constant apply (constant == true): the lookup was resolved (and
 ///    fully accounted) by Stage::BeginRun — only the action runs.
 /// Constant *misses* never become steps at all.
@@ -84,13 +84,11 @@ struct KernelStep {
   std::array<KeyExtractorEntry::Word0Part, 3> key_parts{};
   int key_nparts = -1;
   ExactMatchCam::WordIndexHandle word_index = nullptr;
-  const VliwEntry* vliw_table = nullptr;
   const VliwPlan* vliw_plans = nullptr;
   u64 word_mask = 0;
   u8 active_slots = 0;
   bool pred_active = false;
   bool constant = false;
-  const VliwEntry* const_vliw = nullptr;
   const VliwPlan* const_plan = nullptr;
   StatefulMemory::Segment segment;
   u8 stage = 0;  // owning stage index (counter flush)

@@ -57,6 +57,18 @@ inline void ApplyDisposition(const Phv& phv, PacketT& pkt) {
   }
 }
 
+/// Copies exactly one container's bytes — `width` is 2, 4 or 6 — as
+/// fixed-size moves (a 6-byte container is a 4-byte plus a 2-byte move),
+/// so no planned move becomes a variable-length memcpy call.
+inline void MoveContainerBytes(u8* dst, const u8* src, u8 width) {
+  if (width == 2) {
+    std::memcpy(dst, src, 2);
+    return;
+  }
+  std::memcpy(dst, src, 4);
+  if (width == 6) std::memcpy(dst + 4, src + 4, 2);
+}
+
 /// Runs a compiled parse plan into `phv`, which the caller guarantees is
 /// already all-zero (a freshly constructed Phv, or one Clear()ed).
 /// Containers whose parse was pruned stay zero.
@@ -74,7 +86,8 @@ inline void PlannedParseInto(const PacketT& pkt, Phv& phv,
     const PlannedMove& mv = plan.moves[i];
     const std::size_t end = static_cast<std::size_t>(mv.pkt_off) + mv.width;
     if (end <= limit) {
-      std::memcpy(dst_base + mv.phv_off, src_base + mv.pkt_off, mv.width);
+      MoveContainerBytes(dst_base + mv.phv_off, src_base + mv.pkt_off,
+                         mv.width);
     } else {
       // Clipped tail: bytes beyond the window/packet read as zero (the
       // PHV is already zeroed).
@@ -99,7 +112,8 @@ inline void PlannedDeparseFrom(const Phv& phv, PacketT& pkt,
     const PlannedMove& mv = plan.moves[i];
     const std::size_t end = static_cast<std::size_t>(mv.pkt_off) + mv.width;
     if (end <= limit) {
-      std::memcpy(dst_base + mv.pkt_off, src_base + mv.phv_off, mv.width);
+      MoveContainerBytes(dst_base + mv.pkt_off, src_base + mv.phv_off,
+                         mv.width);
     } else {
       for (std::size_t b = 0; b < mv.width; ++b) {
         const std::size_t off = static_cast<std::size_t>(mv.pkt_off) + b;

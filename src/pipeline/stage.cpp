@@ -88,7 +88,6 @@ void Stage::BeginRun(ModuleId module, std::size_t run_len,
   ctx.segment = stateful_.ResolveSegment(module);
   ctx.constant = ctx.plan->skip_extraction;
   ctx.constant_hit = false;
-  ctx.constant_vliw = nullptr;
   ctx.constant_vliw_plan = nullptr;
   if (!ctx.constant) {
     if (!ctx.kx->ternary) {
@@ -113,13 +112,12 @@ void Stage::BeginRun(ModuleId module, std::size_t run_len,
     tcam_.NoteConstantLookups(extra, address.has_value(),
                               tcam_.entries_scanned() - scanned_before);
   } else {
-    // A zero key trivially fits one word: integer hash probe.
+    // A zero key trivially fits one word: word-index probe.
     address = cam_.LookupWord(0, module);
     cam_.NoteConstantLookups(extra, address.has_value());
   }
   if (address) {
     ctx.constant_hit = true;
-    ctx.constant_vliw = &vliw_table_[*address];
     ctx.constant_vliw_plan = &vliw_plans_[*address];
     hits_ += run_len;
   } else {
@@ -132,8 +130,7 @@ void Stage::ProcessRun(Phv& phv, const ModuleRunContext& ctx) {
     // Lookup resolved (and counted) by BeginRun; only the action runs
     // per packet.
     if (ctx.constant_hit)
-      ActionEngine::ExecuteCompiled(*ctx.constant_vliw,
-                                    *ctx.constant_vliw_plan, phv,
+      ActionEngine::ExecuteCompiled(*ctx.constant_vliw_plan, phv,
                                     snapshot_scratch_, ctx.segment);
     return;
   }
@@ -156,8 +153,8 @@ void Stage::ProcessRun(Phv& phv, const ModuleRunContext& ctx) {
     return;  // miss: default action is a no-op, PHV passes unchanged
   }
   ++hits_;
-  ActionEngine::ExecuteCompiled(vliw_table_[*address], vliw_plans_[*address],
-                                phv, snapshot_scratch_, ctx.segment);
+  ActionEngine::ExecuteCompiled(vliw_plans_[*address], phv, snapshot_scratch_,
+                                ctx.segment);
 }
 
 void Stage::ProcessInPlace(Phv& phv) {
@@ -168,8 +165,8 @@ void Stage::ProcessInPlace(Phv& phv) {
   if (!kx.ternary && plan.one_word) {
     // One-word fast path: the module's masked key layout fits word 0, so
     // the key is extracted straight into a u64 and the CAM lookup is an
-    // integer hash probe.  Byte-identical to the wide path below (pinned
-    // by the randomized match-index differential test).
+    // integer word-index probe.  Byte-identical to the wide path below
+    // (pinned by the randomized match-index differential test).
     const u64 key = plan.skip_extraction
                         ? 0
                         : (kx.ExtractKeyWord0(phv, plan.active_slots,

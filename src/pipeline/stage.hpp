@@ -65,17 +65,14 @@ class Stage {
 
   void WriteVliw(std::size_t index, VliwEntry entry);
   [[nodiscard]] const VliwEntry& VliwAt(std::size_t index) const;
-  /// Compiled form of the VLIW row at `index` (active slots + snapshot
+  /// Compiled form of the VLIW row at `index` (compiled slots + snapshot
   /// elision) — read by the exec-plan shape classifier and the kernels.
   [[nodiscard]] const VliwPlan& VliwPlanAt(std::size_t index) const {
     return vliw_plans_.at(index);
   }
-  /// Raw table bases for the kernel layer: a kernel resolves the matched
-  /// address's entry/plan with one index, no bounds re-check (addresses
-  /// come from the CAM, which only stores valid indices).
-  [[nodiscard]] const VliwEntry* vliw_table_data() const {
-    return vliw_table_.data();
-  }
+  /// Raw plan-table base for the kernel layer: a kernel resolves the
+  /// matched address's plan with one index, no bounds re-check
+  /// (addresses come from the CAM, which only stores valid indices).
   [[nodiscard]] const VliwPlan* vliw_plans_data() const {
     return vliw_plans_.data();
   }
@@ -126,7 +123,8 @@ class Stage {
     bool pred_active = false;        // mask keeps bit 0 and a CmpOp is set
     // One-word fast path: every kept mask bit lies in key word 0, so the
     // masked key is fully described by a u64 and exact-match lookup is an
-    // integer hash probe (ExactMatchCam::LookupWord) — no BitVec build.
+    // integer compare over the CAM's word index (ExactMatchCam::LookupWord)
+    // — no BitVec build.
     bool one_word = false;
     u64 word_mask = 0;  // mask word 0 (valid when one_word)
   };
@@ -151,7 +149,6 @@ class Stage {
     // result is resolved once per run.
     bool constant = false;
     bool constant_hit = false;
-    const VliwEntry* constant_vliw = nullptr;
     const VliwPlan* constant_vliw_plan = nullptr;
   };
 
@@ -180,7 +177,7 @@ class Stage {
   TernaryCam tcam_;
   std::vector<VliwEntry> vliw_table_ =
       std::vector<VliwEntry>(params::kVliwTableDepth);
-  /// Compiled form of each VLIW row (active slots + snapshot-elision
+  /// Compiled form of each VLIW row (compiled slots + snapshot-elision
   /// safety), rebuilt eagerly by WriteVliw — the sole mutation path.
   std::vector<VliwPlan> vliw_plans_ =
       std::vector<VliwPlan>(params::kVliwTableDepth);

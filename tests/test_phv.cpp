@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "common/rng.hpp"
+
 namespace menshen {
 namespace {
 
@@ -76,6 +81,45 @@ TEST(Phv, DiscardFlag) {
   EXPECT_TRUE(phv.discard_flag());
   phv.set_discard_flag(false);
   EXPECT_FALSE(phv.discard_flag());
+}
+
+TEST(Phv, ClearEqualsFreshAfterRandomWrites) {
+  Rng rng(0x9E7);
+  Phv phv;
+  const Phv fresh;
+  for (int iter = 0; iter < 200; ++iter) {
+    for (int k = 0; k < 12; ++k) {
+      const ContainerRef c{static_cast<ContainerType>(rng.Below(3)),
+                           static_cast<u8>(rng.Below(kContainersPerType))};
+      phv.Write(c, rng.Next());
+    }
+    phv.set_meta_u8(rng.Below(kMetadataBytes), static_cast<u8>(rng.Next()));
+    phv.set_meta_u16(rng.Below(kMetadataBytes - 1),
+                     static_cast<u16>(rng.Next()));
+    phv.set_meta_u32(rng.Below(kMetadataBytes - 3),
+                     static_cast<u32>(rng.Next()));
+    phv.module_id = ModuleId(static_cast<u16>(1 + rng.Below(0xFFF)));
+    ASSERT_FALSE(phv == fresh);
+    phv.Clear();
+    ASSERT_EQ(phv, fresh);
+    for (const u8 b : phv.raw()) ASSERT_EQ(b, 0);
+  }
+}
+
+TEST(Phv, BytesAreTheObjectsFirst16ByteAlignedMember) {
+  // raw() is the object's own address, 16-byte aligned — for a local and
+  // for every element of a vector (the burst path's per-lane PHVs).
+  const auto check = [](const Phv& phv) {
+    const auto* bytes = phv.raw().data();
+    EXPECT_EQ(static_cast<const void*>(bytes),
+              static_cast<const void*>(&phv));
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(bytes) % 16, 0u);
+  };
+  const Phv local;
+  check(local);
+  const std::vector<Phv> lanes(64);
+  for (const Phv& phv : lanes) check(phv);
+  EXPECT_EQ(alignof(Phv), 16u);
 }
 
 TEST(ContainerRef, FlatNumbering) {
