@@ -220,10 +220,10 @@ IngressPoint MeasureStream(std::size_t producers, std::size_t shards) {
 
 /// Zipf-skewed streaming over a flow-cacheable router tenant: the
 /// ladder-tier mix row.  One producer, one shard, zipf(0.9) tags over a
-/// 64-tag space — most packets resolve in the flow-verdict cache's
-/// burst-probe tier, the cold tail falls through to the kernel/plan
-/// ladder.  Alongside throughput the row reports fc_share (flow-cache
-/// hits / streamed packets, deltas across the measured phase), which
+/// 64-tag space — most packets resolve as flow-verdict cache hits, the
+/// cold tail as misses through the run's kernel steps.  Alongside
+/// throughput the row reports fc_share (flow-cache hits / streamed
+/// packets, deltas across the measured phase), which
 /// tools/bench_diff.py gates against the committed baseline share: a
 /// change that silently pushes zipf traffic off the memoization tier
 /// fails the bench gate even if raw Mpps survives.

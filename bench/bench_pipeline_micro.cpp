@@ -447,15 +447,15 @@ double FlowCacheZipfPerPktNs(double s) {
          1000.0;
 }
 
-/// The cold burst-probe row (micro_flow_cache_burst_hit): a zipf(0.9)
+/// The cold probe row (micro_flow_cache_burst_hit): a zipf(0.9)
 /// router workload over the FULL 16-bit tag space against a 65536-slot
-/// verdict cache, so the touched slot set (~8 MB) dwarfs the cache
-/// hierarchy and nearly every probe is a cold HIT — a dependent memory
-/// miss that BurstProbe overlaps by hashing the whole lane set first and
-/// prefetching kBurstPrefetchAhead slots ahead.  The verdict set is
+/// verdict cache, so the touched slots (4 MB, plus a 512 KB admission
+/// sketch) dwarf the cache hierarchy and nearly every probe is a cold
+/// HIT — a memory miss per packet, which the cached pass overlaps by
+/// prefetching each slot line four packets ahead.  The verdict set is
 /// pre-filled across every tag before measuring, so the row is pure
 /// probe cost, not fill cost.  Between timed calls an LLC-sized write
-/// sweep evicts the slot array (server parts carry LLCs past the 8 MB
+/// sweep evicts the slot array (server parts carry LLCs past that
 /// footprint — 260 MB on some cloud hosts — which would otherwise leave
 /// the slots warm); every measured call therefore starts DRAM-cold on
 /// any host.
@@ -682,11 +682,12 @@ void EmitMicroJson() {
        }()},
       // The flow-verdict cache hit path proper (pipeline/flow_cache):
       // the per-packet work that REPLACES the five-stage match+action
-      // walk once a verdict is resident — extract the per-stage key
-      // words from the parsed PHV, one direct-mapped probe, accumulate
-      // the counter deltas, replay the recorded effects.  Parse and
-      // deparse are shared with the uncached path (micro_parse_* rows);
-      // the comparison partner is micro_module_run's match+action work.
+      // walk once a verdict is resident — gather and hash the probing
+      // stages' key words, one direct-mapped probe (with its sketch
+      // count), replay the matched entries' compiled plans, tally the
+      // counter deltas.  Parse and deparse are shared with the uncached
+      // path (micro_parse_* rows); the comparison partner is
+      // micro_module_run's match+action work.
       {"micro_flow_cache_hit", [&] {
          Pipeline& rp = LoadedRouterPipeline();
          const ModuleId module(7);
@@ -699,19 +700,26 @@ void EmitMicroJson() {
          const Packet hot = RouterRequest(3);
          Phv hot_phv;
          rp.parser().ParseIntoPlanned(hot, hot_phv, rplan.parse);
-         FlowVerdictCache::KeyWordArray words{};
-         FlowVerdictCache::RunAccounting acct;
+         std::array<const VliwPlan*, params::kNumStages> plans{};
+         for (std::size_t s = 0; s < rp.num_stages(); ++s)
+           plans[s] = rp.stage(s).vliw_plans_data();
+         const u64 seed = FlowVerdictCache::HashSeed(module);
+         FlowVerdictCache::RunTally tally;
          return MeasureNs(
              [&] {
-               FlowVerdictCache::KeyWords(frow, rp.num_stages(), hot_phv,
-                                          words);
-               bool hit = false;
-               FlowVerdict& v =
-                   rp.flow_cache().SlotFor(frow, module, words, hit);
-               rp.flow_cache().NoteHit();
-               FlowVerdictCache::Accumulate(acct, v, rp.num_stages());
-               FlowVerdictCache::ApplyEffects(v, hot_phv);
-               benchmark::DoNotOptimize(hit);
+               FlowVerdictCache::KeyWordArray words{};
+               u64 h = seed;
+               for (u8 g = 0; g < rplan.gather.count; ++g) {
+                 const std::size_t s = rplan.gather.stages[g];
+                 words[s] = frow.keys[s].Word(hot_phv);
+                 h = FlowVerdictCache::HashWord(h, words[s]);
+               }
+               const FlowVerdictCache::Probe probe = rp.flow_cache().Lookup(
+                   frow, module, words, FlowVerdictCache::FinishHash(h));
+               FlowVerdictCache::Replay(*probe.slot, plans.data(), hot_phv);
+               FlowVerdictCache::Tally(tally, *probe.slot);
+               if (tally.lanes == FlowVerdictCache::kTallyChunk) tally = {};
+               benchmark::DoNotOptimize(probe.hit);
                benchmark::DoNotOptimize(hot_phv);
              },
              kIters, kWarmup);
@@ -721,8 +729,7 @@ void EmitMicroJson() {
       // miss/fill path.
       {"micro_flow_cache_zipf_s0.9", FlowCacheZipfPerPktNs(0.9)},
       {"micro_flow_cache_zipf_s1.1", FlowCacheZipfPerPktNs(1.1)},
-      // Burst probing on the cold 16-bit tag space (see
-      // FlowCacheColdZipfPerPktNs).
+      // Probing the cold 16-bit tag space (see FlowCacheColdZipfPerPktNs).
       {"micro_flow_cache_burst_hit", FlowCacheColdZipfPerPktNs()},
       // --- Specialized-kernel rows, one per dispatched shape class ------------
       // Stateless multi-slot probe shape (calc).

@@ -839,6 +839,7 @@ Dataplane::ShardCounters Dataplane::ShardCountersLocked(std::size_t i) const {
   c.flow_cache_hits = fc.hits;
   c.flow_cache_misses = fc.misses;
   c.flow_cache_evictions = fc.evictions;
+  c.flow_cache_rejects = fc.rejects;
   c.flow_cache_occupancy = fc.occupancy;
   c.flow_cache_burst_pkts = fc.burst_pkts;
   c.flow_cache_burst_fallback = fc.burst_fallback_pkts;

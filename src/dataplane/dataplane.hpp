@@ -312,22 +312,26 @@ class Dataplane {
     /// executing work items.
     u64 busy_ns = 0;
     /// This replica's flow-verdict cache (pipeline/flow_cache.hpp):
-    /// cumulative hits/misses/evictions plus current occupancy.  Read
-    /// from the replica's relaxed counters — consistent with the traffic
-    /// counters above.
+    /// cumulative hits/misses, and of the misses, admitted fills that
+    /// replaced a resident verdict (evictions) and fills admission
+    /// declined (rejects), plus current occupancy.  Read from the
+    /// replica's relaxed counters — consistent with the traffic counters
+    /// above.
     u64 flow_cache_hits = 0;
     u64 flow_cache_misses = 0;
     u64 flow_cache_evictions = 0;
+    u64 flow_cache_rejects = 0;
     u64 flow_cache_occupancy = 0;
-    /// Burst-probe path (FlowVerdictCache::BurstProbe): lanes probed
-    /// burst-wide, and of those, lanes compacted into the scalar
-    /// fallback pass (misses + pending-fill taints).
+    /// Cached tier (Pipeline::RunSpanCached): lanes run through the
+    /// flow-verdict cache (hits + misses), and of those, lanes not
+    /// served by a hit (the misses).  The names are kept for the
+    /// end-to-end bench, which reads them.
     u64 flow_cache_burst_pkts = 0;
     u64 flow_cache_burst_fallback = 0;
     /// Specialized-kernel dispatch (pipeline/kernels.hpp): packets run
     /// by a straight-line kernel, packets interpreted (wide/ternary
-    /// rows), flow-cache misses filled by the recording kernel, and the
-    /// per-shape-id packet distribution.
+    /// rows), flow-cache misses resolved by the run's kernel steps, and
+    /// the per-shape-id packet distribution.
     u64 kernel_pkts = 0;
     u64 kernel_fallback_pkts = 0;
     u64 kernel_record_fills = 0;

@@ -143,6 +143,22 @@ struct KeyExtractorEntry {
   /// ExtractKeyWord0.
   [[nodiscard]] int CompileWord0(u8 active_slots, bool pred_active,
                                  std::array<Word0Part, 3>& parts) const;
+  /// Runs a CompileWord0 result against raw PHV bytes (unmasked).  The
+  /// word-0 key slots hold 4- and 2-byte containers, so a part is one of
+  /// two fixed-width loads (no 6-byte case inlined into every kernel
+  /// step).
+  [[nodiscard]] static u64 LoadWord0(const u8* phv,
+                                     const std::array<Word0Part, 3>& parts,
+                                     int nparts) {
+    u64 w = 0;
+    for (int j = 0; j < nparts; ++j) {
+      const Word0Part& p = parts[static_cast<std::size_t>(j)];
+      const u8* const field = phv + p.phv_off;
+      w |= (p.width == 4 ? Phv::LoadField(field, 4) : Phv::LoadField(field, 2))
+           << p.lsb;
+    }
+    return w;
+  }
 
   bool operator==(const KeyExtractorEntry&) const = default;
 };

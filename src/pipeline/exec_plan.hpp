@@ -98,13 +98,13 @@ struct ModuleExecPlan {
     return flow_blocker == FlowCacheBlocker::kNone;
   }
 
-  /// Key-gather plan for the burst probe (FlowVerdictCache::BurstProbe
-  /// phase 1): the probing stages — nonzero key masks, same condition as
+  /// Key-gather plan for the flow-cache pass (Pipeline::RunSpanCached):
+  /// the probing stages — nonzero key masks, same condition as
   /// FlowStageKey::skip, derived from the same configuration at the same
-  /// version stamp — in stage order.  Gathering iterates only these, so
-  /// a row with one probing stage extracts one word per packet instead
-  /// of branching across all kNumStages (skip stages contribute the
-  /// constant 0 the key array is pre-zeroed to).
+  /// version stamp — in stage order.  The pass extracts and hashes only
+  /// these words, so a row with one probing stage pays one extraction
+  /// and one multiply per packet (skip stages keep the constant 0 the
+  /// key array is pre-zeroed to and stay out of the hash).
   struct KeyGather {
     u8 count = 0;
     std::array<u8, params::kNumStages> stages{};

@@ -8,8 +8,7 @@ namespace menshen {
 
 namespace {
 
-/// splitmix64 finalizer — the slot index must spread structured key
-/// words (ports, small tags) across the direct-mapped table.
+/// splitmix64 finalizer — spreads the module id into the per-run seed.
 inline u64 Mix64(u64 x) {
   x += 0x9E3779B97F4A7C15ull;
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
@@ -53,6 +52,7 @@ FlowRowConfig SnapshotRowConfig(const Stage* stages, std::size_t num_stages,
 /// guarantees every mask is one-word).
 void BuildStageKeys(FlowRowState& r, std::size_t num_stages) {
   const auto slots = KeySlots();
+  r.probed = 0;
   for (std::size_t s = 0; s < num_stages; ++s) {
     const FlowRowConfig::StageConfig& sc = r.config.stages[s];
     FlowStageKey& k = r.keys[s];
@@ -66,31 +66,18 @@ void BuildStageKeys(FlowRowState& r, std::size_t num_stages) {
         k.active_slots |= static_cast<u8>(1u << i);
     k.pred_active = mask.field(0, 1) != 0 && sc.kx.cmp_op != CmpOp::kNone;
     k.word_mask = mask.word(0);
-  }
-}
-
-inline void ApplyOneEffect(const FlowEffect& e, Phv& phv) {
-  switch (e.kind) {
-    case FlowEffect::Kind::kSetSlot:
-      if (const auto c = FlatToContainer(e.slot)) {
-        phv.Write(*c, e.value);
-      } else {
-        phv.set_meta_u16(meta::kUser, e.value);
-      }
-      break;
-    case FlowEffect::Kind::kPort:
-      phv.set_meta_u16(meta::kDstPort, e.value);
-      break;
-    case FlowEffect::Kind::kDiscard:
-      phv.set_discard_flag(true);
-      break;
-    case FlowEffect::Kind::kMcast:
-      phv.set_meta_u16(meta::kMulticastGroup, e.value);
-      break;
+    k.nparts = k.kx.CompileWord0(k.active_slots, k.pred_active, k.parts);
+    if (!k.skip) r.probed |= static_cast<u8>(1u << s);
   }
 }
 
 }  // namespace
+
+const StatefulMemory::Segment FlowVerdictCache::kNoSegment{};
+
+u64 FlowVerdictCache::HashSeed(ModuleId module) {
+  return Mix64(module.value());
+}
 
 FlowRowState& FlowVerdictCache::EnsureRow(std::size_t row, u64 stamp,
                                           const Stage* stages,
@@ -115,104 +102,25 @@ FlowRowState& FlowVerdictCache::EnsureRow(std::size_t row, u64 stamp,
   return r;
 }
 
-void FlowVerdictCache::KeyWords(const FlowRowState& row,
-                                std::size_t num_stages, const Phv& phv,
-                                KeyWordArray& words) {
-  for (std::size_t s = 0; s < num_stages; ++s) {
-    const FlowStageKey& k = row.keys[s];
-    words[s] = k.skip ? 0
-                      : (k.kx.ExtractKeyWord0(phv, k.active_slots,
-                                              k.pred_active) &
-                         k.word_mask);
-  }
-  for (std::size_t s = num_stages; s < words.size(); ++s) words[s] = 0;
+void FlowVerdictCache::AllocateRow(FlowRowState& row) {
+  row.slots.assign(slots_per_row_, FlowVerdict{});
+  row.sketch.assign(slots_per_row_ * kSketchPerSlot, 0);
+  row.sketch_countdown =
+      static_cast<u32>(slots_per_row_) * kSketchPeriodPerSlot;
 }
 
-std::size_t FlowVerdictCache::SlotIndex(ModuleId module,
-                                        const KeyWordArray& words) const {
-  u64 h = Mix64(module.value());
-  for (const u64 w : words) h = Mix64(h ^ w);
-  return static_cast<std::size_t>(h) & (slots_per_row_ - 1);
-}
-
-FlowVerdict& FlowVerdictCache::SlotFor(FlowRowState& row, ModuleId module,
-                                       const KeyWordArray& words, bool& hit) {
-  if (row.slots.empty()) row.slots.resize(slots_per_row_);
-  FlowVerdict& v = row.slots[SlotIndex(module, words)];
-  hit = v.valid && v.module == module && SameWords(v.words, words);
-  return v;
-}
-
-std::size_t FlowVerdictCache::BurstProbe(FlowRowState& row, ModuleId module,
-                                         const KeyWordArray* words,
-                                         std::size_t n,
-                                         const FlowVerdict** verdicts,
-                                         u32* fallback,
-                                         std::size_t& fallback_count,
-                                         u32* slot_out) {
-  if (row.slots.empty()) row.slots.resize(slots_per_row_);
-  const u64 hm = Mix64(module.value());
-  const auto hash_lane = [&](std::size_t k) {
-    u64 h = hm;
-    for (const u64 w : words[k]) h = Mix64(h ^ w);
-    const auto s =
-        static_cast<u32>(static_cast<std::size_t>(h) & (slots_per_row_ - 1));
-    slot_out[k] = s;
-    const char* p = reinterpret_cast<const char*>(&row.slots[s]);
-    __builtin_prefetch(p);
-    __builtin_prefetch(p + 64);  // FlowVerdict spans two cache lines
-  };
-  const std::size_t ahead = std::min(kBurstPrefetchAhead, n);
-  for (std::size_t k = 0; k < ahead; ++k) hash_lane(k);
-  std::size_t hits = 0;
-  fallback_count = 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    if (k + ahead < n) hash_lane(k + ahead);
-    const u32 s = slot_out[k];
-    // Pending-fill taint: an earlier fallback lane mapping to this slot
-    // will (re)fill it before lane k would have probed under scalar
-    // order, so the current content cannot decide lane k — route it to
-    // the in-order fallback pass.  The fallback list is the compacted
-    // miss set, typically short, so the linear scan stays cheap.
-    bool pending = false;
-    for (std::size_t i = 0; i < fallback_count; ++i) {
-      if (slot_out[fallback[i]] == s) {
-        pending = true;
-        break;
-      }
-    }
-    const FlowVerdict& v = row.slots[s];
-    if (!pending && v.valid && v.module == module &&
-        SameWords(v.words, words[k])) {
-      verdicts[k] = &v;
-      ++hits;
-    } else {
-      verdicts[k] = nullptr;
-      fallback[fallback_count++] = static_cast<u32>(k);
-    }
-  }
-  return hits;
-}
-
-void FlowVerdictCache::BeginFill(FlowRowState& row, FlowVerdict& slot,
-                                 ModuleId module, const KeyWordArray& words) {
-  if (slot.valid) {
-    evictions_.Add();  // direct-mapped conflict: replace the old verdict
-  } else {
-    occupancy_.Add();
-    ++row.live;
-  }
-  slot.valid = false;
-  slot.module = module;
-  slot.words = words;
-  slot.outcomes = {};
-  slot.effects.clear();
+void FlowVerdictCache::HalveSketch(FlowRowState& row) {
+  for (u8& c : row.sketch) c = static_cast<u8>(c >> 1);
+  row.sketch_countdown =
+      static_cast<u32>(row.slots.size()) * kSketchPeriodPerSlot;
 }
 
 void FlowVerdictCache::BuildVerdict(const FlowRowState& row,
                                     const Stage* stages,
                                     std::size_t num_stages, ModuleId module,
                                     Phv& phv, FlowVerdict& v) {
+  v.matched = 0;
+  v.scanned = 0;
   for (std::size_t s = 0; s < num_stages; ++s) {
     const FlowStageKey& k = row.keys[s];
     const Stage& stage = stages[s];
@@ -220,10 +128,7 @@ void FlowVerdictCache::BuildVerdict(const FlowRowState& row,
     // stage, exactly as the uncached path would — the memoization key
     // (parsed-PHV words) determines these by the induction argument in
     // the header, but the lookups themselves must use the live values.
-    const u64 word =
-        k.skip ? 0
-               : (k.kx.ExtractKeyWord0(phv, k.active_slots, k.pred_active) &
-                  k.word_mask);
+    const u64 word = k.skip ? 0 : k.Word(phv);
     std::optional<std::size_t> address;
     u64 scanned = 0;
     if (k.ternary) {
@@ -232,86 +137,61 @@ void FlowVerdictCache::BuildVerdict(const FlowRowState& row,
     } else if (const auto* h = stage.cam().WordIndexFor(module)) {
       address = h->Find(word);
     }
-    FlowVerdict::StageOutcome& o = v.outcomes[s];
-    o.probed = !k.skip;
-    o.hit = address.has_value();
-    o.address = static_cast<u8>(address.value_or(0));
-    o.scanned = static_cast<u16>(scanned);
+    v.scanned |= scanned << (kTallyBits * s);
     if (!address) continue;  // miss: default action is a no-op
-
-    RecordMatchedEffects(stage.VliwAt(*address), phv, v);
+    v.matched |= static_cast<u8>(1u << s);
+    v.address[s] = static_cast<u8>(*address);
+    ApplyRecordedPlan(stage.VliwPlanAt(*address), phv);
   }
 }
 
-void FlowVerdictCache::RecordMatchedEffects(const VliwEntry& vliw, Phv& phv,
-                                            FlowVerdict& v) {
-  for (std::size_t slot = 0; slot < vliw.slots.size(); ++slot) {
-    const AluAction& a = vliw.slots[slot];
-    FlowEffect e;
-    switch (a.op) {
-      case AluOp::kNop:
-        continue;
-      case AluOp::kSet:
-        e = {FlowEffect::Kind::kSetSlot, static_cast<u8>(slot), a.immediate};
-        break;
-      case AluOp::kPort:
-        e = {FlowEffect::Kind::kPort, 0, a.immediate};
-        break;
-      case AluOp::kDiscard:
-        e = {FlowEffect::Kind::kDiscard, 0, 0};
-        break;
-      case AluOp::kMcast:
-        e = {FlowEffect::Kind::kMcast, 0, a.immediate};
-        break;
-      default:
-        // Eligibility proved every reachable op constant; reaching
-        // here means the snapshot/invalidations logic is broken.
-        throw std::logic_error("flow cache: non-constant op in eligible row");
-    }
-    ApplyOneEffect(e, phv);
-    v.effects.push_back(e);
+void FlowVerdictCache::RequireConstantPlan(const VliwPlan& plan) {
+  for (std::size_t i = 0; i < plan.count; ++i) {
+    const AluOp op = plan.slots[i].op;
+    // The eligibility rule (exec_plan.cpp's StageActionBlocker) proved
+    // every reachable op constant; reaching here means the
+    // snapshot/invalidation logic is broken.
+    if (OpTouchesState(op) || OpReadsContainer1(op) || OpReadsContainer2(op))
+      throw std::logic_error("flow cache: non-constant op in eligible row");
   }
 }
 
-void FlowVerdictCache::ApplyEffects(const FlowVerdict& v, Phv& phv) {
-  for (const FlowEffect& e : v.effects) ApplyOneEffect(e, phv);
+void FlowVerdictCache::ApplyRecordedPlan(const VliwPlan& plan, Phv& phv) {
+  RequireConstantPlan(plan);
+  u8* const bytes = phv.mutable_raw().data();
+  for (std::size_t i = 0; i < plan.count; ++i)
+    ActionEngine::ApplyCompiledSlot(plan.slots[i], bytes, bytes, kNoSegment);
 }
 
-void FlowVerdictCache::Accumulate(RunAccounting& acct, const FlowVerdict& v,
-                                  std::size_t num_stages) {
+void FlowVerdictCache::FlushTally(RunTally& t, const FlowRowState& row,
+                                  Stage* stages, std::size_t num_stages) {
+  if (t.lanes == 0) return;
+  constexpr u64 kField = (u64{1} << kTallyBits) - 1;
   for (std::size_t s = 0; s < num_stages; ++s) {
-    const FlowVerdict::StageOutcome& o = v.outcomes[s];
-    if (!o.probed) continue;  // constant-key stage: BeginRun accounted it
-    ++acct.lookups[s];
-    if (o.hit) ++acct.hits[s];
-    acct.scanned[s] += o.scanned;
-  }
-}
-
-void FlowVerdictCache::FlushAccounting(const RunAccounting& acct,
-                                       const FlowRowState& row, Stage* stages,
-                                       std::size_t num_stages) {
-  for (std::size_t s = 0; s < num_stages; ++s) {
-    const u64 lookups = acct.lookups[s];
-    if (lookups == 0) continue;
-    const u64 hits = acct.hits[s];
+    if ((row.probed & (1u << s)) == 0) continue;  // BeginRun accounted it
+    const unsigned shift = kTallyBits * static_cast<unsigned>(s);
+    const u64 hits = (t.hits >> shift) & kField;
     if (row.keys[s].ternary) {
-      stages[s].tcam().NoteCachedLookups(lookups, hits, acct.scanned[s]);
+      stages[s].tcam().NoteCachedLookups(t.lanes, hits,
+                                         (t.scanned >> shift) & kField);
     } else {
-      stages[s].cam().NoteCachedLookups(lookups, hits);
+      stages[s].cam().NoteCachedLookups(t.lanes, hits);
     }
-    stages[s].NoteCachedOutcomes(hits, lookups - hits);
+    stages[s].NoteCachedOutcomes(hits, t.lanes - hits);
   }
+  t = RunTally{};
 }
 
 void FlowVerdictCache::SetSlotsPerRow(std::size_t slots) {
-  if (slots == 0 || (slots & (slots - 1)) != 0)
+  if (slots == 0 || (slots & (slots - 1)) != 0 || slots > (1u << 24))
     throw std::invalid_argument(
-        "flow cache slots per row must be a power of two");
+        "flow cache slots per row must be a power of two <= 2^24");
   for (FlowRowState& r : rows_) {
     FlushRow(r);
     r.slots.clear();
     r.slots.shrink_to_fit();
+    r.sketch.clear();
+    r.sketch.shrink_to_fit();
   }
   slots_per_row_ = slots;
 }

@@ -1,6 +1,5 @@
 #include "pipeline/kernels.hpp"
 
-#include <cstring>
 #include <string>
 
 #include "packet/arena.hpp"
@@ -23,32 +22,14 @@ inline void RunStep(KernelStep& st, Phv& phv, Phv& snapshot) {
     // Resolved (and fully accounted) by Stage::BeginRun.
     plan = st.const_plan;
   } else {
-    u64 key;
-    if (st.key_nparts >= 0) {
-      // Precompiled extraction: raw big-endian loads at fixed PHV
-      // offsets (BuildKernelRun resolved the containers once per run).
-      const u8* const pb = phv.raw().data();
-      u64 w = 0;
-      for (int j = 0; j < st.key_nparts; ++j) {
-        const KeyExtractorEntry::Word0Part& p =
-            st.key_parts[static_cast<std::size_t>(j)];
-        u64 v;
-        if (p.width == 4) {
-          u32 t;
-          std::memcpy(&t, pb + p.phv_off, 4);
-          v = __builtin_bswap32(t);
-        } else {
-          u16 t;
-          std::memcpy(&t, pb + p.phv_off, 2);
-          v = __builtin_bswap16(t);
-        }
-        w |= v << p.lsb;
-      }
-      key = w & st.word_mask;
-    } else {
-      key = st.kx->ExtractKeyWord0(phv, st.active_slots, st.pred_active) &
-            st.word_mask;
-    }
+    // Precompiled extraction where possible: raw big-endian loads at
+    // fixed PHV offsets (BuildKernelRun resolved the containers once).
+    const u64 key =
+        (st.key_nparts >= 0
+             ? KeyExtractorEntry::LoadWord0(phv.raw().data(), st.key_parts,
+                                            st.key_nparts)
+             : st.kx->ExtractKeyWord0(phv, st.active_slots, st.pred_active)) &
+        st.word_mask;
     // Quiet probe with a last-key memo — the CAM cannot change mid-run,
     // so a repeated key replays the previous outcome without re-scanning.
     // Counter deltas accumulate below and flush once per run.
@@ -195,6 +176,10 @@ bool BuildKernelRun(const Stage* stages, std::size_t num_stages,
       KernelStep& st = kr.steps[kr.num_steps++];
       st.constant = true;
       st.const_plan = c.constant_vliw_plan;
+      // The matched address, for flow-cache recording (RecordKernelOutcome).
+      st.memo_hit = true;
+      st.memo_addr =
+          static_cast<u32>(c.constant_vliw_plan - stages[s].vliw_plans_data());
       st.segment = c.segment;
       st.stage = static_cast<u8>(s);
       st.hits = st.misses = 0;
@@ -233,35 +218,22 @@ void FlushKernelCounters(Stage* stages, KernelRun& kr) {
   }
 }
 
-bool KernelRecordVerdict(const FlowRowState& row, const Stage* stages,
-                         std::size_t num_stages, ModuleId module, Phv& phv,
-                         FlowVerdict& v) {
-  // Eligibility already proved one-word masked keys; only the ternary
-  // stages still need the BitVec/TCAM walk of BuildVerdict.
-  for (std::size_t s = 0; s < num_stages; ++s)
-    if (row.keys[s].ternary && !row.keys[s].skip) return false;
+void RunKernelSteps(KernelRun& kr, Phv& phv, Phv& snapshot) {
+  for (std::size_t k = 0; k < kr.num_steps; ++k)
+    RunStep<true>(kr.steps[k], phv, snapshot);
+}
 
-  for (std::size_t s = 0; s < num_stages; ++s) {
-    const FlowStageKey& k = row.keys[s];
-    // The actual key comes from the evolving PHV, exactly like the
-    // uncached path (see the induction argument in flow_cache.hpp).
-    const u64 word =
-        k.skip ? 0
-               : (k.kx.ExtractKeyWord0(phv, k.active_slots, k.pred_active) &
-                  k.word_mask);
-    std::optional<std::size_t> address;
-    if (const auto* h = stages[s].cam().WordIndexFor(module))
-      address = h->Find(word);  // quiet: Accumulate owes the deltas
-    FlowVerdict::StageOutcome& o = v.outcomes[s];
-    o.probed = !k.skip;
-    o.hit = address.has_value();
-    o.address = static_cast<u8>(address.value_or(0));
-    o.scanned = 0;
-    if (!address) continue;  // miss: default action is a no-op
-
-    FlowVerdictCache::RecordMatchedEffects(stages[s].VliwAt(*address), phv, v);
+void RecordKernelOutcome(const KernelRun& kr, FlowVerdict& v) {
+  v.matched = 0;
+  v.scanned = 0;
+  for (std::size_t k = 0; k < kr.num_steps; ++k) {
+    const KernelStep& st = kr.steps[k];
+    if (!st.memo_hit) continue;  // this packet's probe missed
+    FlowVerdictCache::RequireConstantPlan(
+        st.constant ? *st.const_plan : st.vliw_plans[st.memo_addr]);
+    v.matched |= static_cast<u8>(1u << st.stage);
+    v.address[st.stage] = static_cast<u8>(st.memo_addr);
   }
-  return true;
 }
 
 }  // namespace menshen

@@ -29,8 +29,9 @@
 // flush per run (FlushKernelCounters) advances the CAM lookup/hit and
 // stage hit/miss counters by the identical totals per-packet
 // interpretation would have recorded — the same bulk discipline the
-// flow-verdict cache already uses.  Constant-key stages were already
-// accounted by BeginRun.
+// flow-verdict cache uses.  Constant-key stages were already accounted
+// by BeginRun.  The flow cache's miss path runs the same compiled steps
+// one packet at a time (RunKernelSteps).
 //
 // Each probing step also memoizes its last (key -> outcome) pair: a run
 // never spans a configuration change, so a repeated key — the common
@@ -92,8 +93,9 @@ struct KernelStep {
   const VliwPlan* const_plan = nullptr;
   StatefulMemory::Segment segment;
   u8 stage = 0;  // owning stage index (counter flush)
-  // Last-probe memo (probe form only): valid for the rest of the run,
-  // because run contexts never span a configuration change.
+  // Last-probe memo: valid for the rest of the run, because run
+  // contexts never span a configuration change.  A constant step holds
+  // its matched address here (memo_hit set) for flow-cache recording.
   u64 memo_key = 0;
   u32 memo_addr = 0;
   bool memo_valid = false;
@@ -153,14 +155,15 @@ KernelRegistry();
 /// per-packet probing would have recorded.
 void FlushKernelCounters(Stage* stages, KernelRun& kr);
 
-/// Straight-line verdict fill for the flow-cache miss path: for
-/// eligible rows whose probing stages are all exact (non-ternary), runs
-/// the fused quiet-probe/record/apply loop instead of the interpreted
-/// BuildVerdict walk.  Returns false — caller falls back to
-/// BuildVerdict — when some stage is ternary.
-[[nodiscard]] bool KernelRecordVerdict(const FlowRowState& row,
-                                       const Stage* stages,
-                                       std::size_t num_stages, ModuleId module,
-                                       Phv& phv, FlowVerdict& v);
+/// The flow cache's miss path (Pipeline::RunSpanCached): runs the run's
+/// compiled steps over one parsed PHV — the same key extraction, memoized
+/// word-index probe and compiled plans as the kernels, with the step
+/// counters accumulating for the run's one FlushKernelCounters.
+void RunKernelSteps(KernelRun& kr, Phv& phv, Phv& snapshot);
+
+/// After RunKernelSteps: records which entry each step matched for the
+/// packet just run into `v` (matched/address; scanned = 0), checking the
+/// matched plans are constant-only (FlowVerdictCache::RequireConstantPlan).
+void RecordKernelOutcome(const KernelRun& kr, FlowVerdict& v);
 
 }  // namespace menshen

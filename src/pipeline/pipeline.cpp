@@ -85,103 +85,100 @@ void Pipeline::Emit(PacketT& pkt, const Phv& phv, const DeparsePlan& deparse,
 }
 
 template <typename PacketT>
-void Pipeline::ResolveCached(PacketT& pkt, Phv& phv,
-                             const ModuleExecPlan& plan, FlowRowState& frow,
-                             FlowVerdictCache::RunAccounting& acct,
-                             ModuleId module, FlowVerdict& v, bool hit,
+bool Pipeline::ResolveCached(PacketT& pkt, Phv& phv, FlowRowState& frow,
+                             const FlowVerdictCache::Probe& probe,
+                             ModuleId module,
                              const FlowVerdictCache::KeyWordArray& words,
-                             u64& fwd, u64& drop) {
-  if (hit) {
-    flow_cache_.NoteHit();
-    FlowVerdictCache::ApplyEffects(v, phv);
+                             KernelRun* kr, const VliwPlan* const* plans,
+                             FlowVerdictCache::RunTally& tally) {
+  FlowVerdict& slot = *probe.slot;
+  if (probe.hit) {
+    FlowVerdictCache::Replay(slot, plans, phv);
+    FlowVerdictCache::Tally(tally, slot);
     pkt.exec_tier = static_cast<u8>(ExecTier::kFlowCacheHit);
     pkt.exec_steps = 0;
-  } else {
-    flow_cache_.NoteMiss();
-    flow_cache_.BeginFill(frow, v, module, words);
-    // The miss falls into the straight-line recording kernel; only
-    // ternary-probing eligible rows keep the interpreted walk.
-    if (KernelRecordVerdict(frow, stages_.data(), stages_.size(), module, phv,
-                            v)) {
-      kernel_record_fills_.Add();
-      pkt.exec_tier = static_cast<u8>(ExecTier::kKernel);
-      pkt.exec_steps = plan.kernel.potential_steps;
-    } else {
-      FlowVerdictCache::BuildVerdict(frow, stages_.data(), stages_.size(),
-                                     module, phv, v);
-      pkt.exec_tier = static_cast<u8>(ExecTier::kInterpreted);
-      pkt.exec_steps = static_cast<u8>(stages_.size());
-    }
-    v.valid = true;
+    return true;
   }
-  FlowVerdictCache::Accumulate(acct, v, stages_.size());
-  Emit(pkt, phv, plan.deparse, fwd, drop);
+  if (kr != nullptr) {
+    // The miss runs the run's compiled kernel steps, which account their
+    // own probes; an admitted miss records what the steps matched.
+    RunKernelSteps(*kr, phv, kernel_snapshot_scratch_);
+    if (flow_cache_.Admit(frow, probe)) {
+      RecordKernelOutcome(*kr, slot);
+      FlowVerdictCache::Store(slot, module, words, probe.sketch);
+    }
+    pkt.exec_tier = static_cast<u8>(ExecTier::kKernel);
+    pkt.exec_steps = kr->num_steps;
+  } else {
+    FlowVerdictCache::BuildVerdict(frow, stages_.data(), stages_.size(),
+                                   module, phv, miss_verdict_);
+    FlowVerdictCache::Tally(tally, miss_verdict_);
+    if (flow_cache_.Admit(frow, probe)) {
+      slot = miss_verdict_;
+      FlowVerdictCache::Store(slot, module, words, probe.sketch);
+    }
+    pkt.exec_tier = static_cast<u8>(ExecTier::kInterpreted);
+    pkt.exec_steps = static_cast<u8>(stages_.size());
+  }
+  return false;
 }
 
 template <typename PacketT>
 void Pipeline::RunSpanCached(PacketT* const* pkts, const u32* idx,
                              std::size_t n, const ModuleExecPlan& plan,
-                             FlowRowState& frow,
-                             FlowVerdictCache::RunAccounting& acct,
-                             ModuleId module, u64& fwd, u64& drop) {
-  for (std::size_t off = 0; off < n; off += kBurstLanes) {
-    const std::size_t c = std::min(kBurstLanes, n - off);
-    const u32* lanes = idx + off;
-    // Phase 1: parse each lane into its own scratch PHV (it must
-    // survive to the replay phase) and gather the probing stages' key
-    // words into the contiguous scratch array; skip stages keep the
-    // pre-zeroed constant 0.
-    for (std::size_t k = 0; k < c; ++k) {
-      if (k + 4 < c) PrefetchPacket(*pkts[lanes[k + 4]]);
-      Phv& phv = burst_phv_[k];
-      phv.Clear();
-      PlannedParseInto(*pkts[lanes[k]], phv, plan.parse);
-      FlowVerdictCache::KeyWordArray& w = burst_words_[k];
-      w = {};
-      for (u8 g = 0; g < plan.gather.count; ++g) {
-        const std::size_t s = plan.gather.stages[g];
-        const FlowStageKey& key = frow.keys[s];
-        if (key.skip) continue;
-        w[s] = key.kx.ExtractKeyWord0(phv, key.active_slots, key.pred_active) &
-               key.word_mask;
-      }
+                             FlowRowState& frow, ModuleId module, u64& fwd,
+                             u64& drop) {
+  KernelRun* const kr = BuildKernelRun(stages_.data(), stages_.size(),
+                                       run_ctx_.data(), plan, kernel_run_)
+                            ? &kernel_run_
+                            : nullptr;
+  std::array<const VliwPlan*, params::kNumStages> plans;
+  for (std::size_t s = 0; s < stages_.size(); ++s)
+    plans[s] = stages_[s].vliw_plans_data();
+  flow_cache_.PrepareRow(frow);
+  const u64 seed = FlowVerdictCache::HashSeed(module);
+  const std::size_t slot_mask = frow.slots.size() - 1;
+  FlowVerdictCache::RunTally tally;
+  u64 hits = 0;
+  // Iteration k resolves packet k - kSlotLookahead from its lane, then
+  // refills the lane with packet k: parse, gather and hash the probing
+  // stages' key words (constant-key stages keep the word 0 the array
+  // starts with), and prefetch the slot line the packet will probe.
+  for (std::size_t k = 0; k < n + kSlotLookahead; ++k) {
+    CachedLane& lane = cached_lanes_[k % kSlotLookahead];
+    if (k >= kSlotLookahead) {
+      PacketT& pkt = *pkts[idx[k - kSlotLookahead]];
+      const FlowVerdictCache::Probe probe =
+          flow_cache_.Lookup(frow, module, lane.words, lane.hash);
+      hits += ResolveCached(pkt, lane.phv, frow, probe, module, lane.words,
+                            kr, plans.data(), tally);
+      if (tally.lanes == FlowVerdictCache::kTallyChunk)
+        FlowVerdictCache::FlushTally(tally, frow, stages_.data(),
+                                     stages_.size());
+      Emit(pkt, lane.phv, plan.deparse, fwd, drop);
     }
-    // Phase 2: hashed probe with slot prefetch-ahead; unresolvable
-    // lanes compact into the fallback list.
-    std::size_t fallback_count = 0;
-    const std::size_t nhits = flow_cache_.BurstProbe(
-        frow, module, burst_words_.data(), c, burst_verdicts_.data(),
-        burst_fallback_.data(), fallback_count, burst_slot_.data());
-    flow_cache_.NoteBurst(c, fallback_count);
-    total_processed_ += c;
-    if (nhits != 0) flow_cache_.NoteHit(nhits);
-    // Phase 3a: replay the hit lanes while their slots are still
-    // untouched (phase 3b's fills mutate slot contents; the verdict
-    // pointers stay stable because fills never reallocate the row).
-    for (std::size_t k = 0; k < c; ++k) {
-      const FlowVerdict* v = burst_verdicts_[k];
-      if (v == nullptr) continue;
-      PacketT& pkt = *pkts[lanes[k]];
-      Phv& phv = burst_phv_[k];
-      FlowVerdictCache::ApplyEffects(*v, phv);
-      pkt.exec_tier = static_cast<u8>(ExecTier::kFlowCacheHit);
-      pkt.exec_steps = 0;
-      FlowVerdictCache::Accumulate(acct, *v, stages_.size());
-      Emit(pkt, phv, plan.deparse, fwd, drop);
+    if (k >= n) continue;
+    if (k + 4 < n) PrefetchPacket(*pkts[idx[k + 4]]);
+    lane.phv.Clear();
+    PlannedParseInto(*pkts[idx[k]], lane.phv, plan.parse);
+    lane.words = {};
+    u64 h = seed;
+    for (u8 g = 0; g < plan.gather.count; ++g) {
+      const std::size_t s = plan.gather.stages[g];
+      lane.words[s] = frow.keys[s].Word(lane.phv);
+      h = FlowVerdictCache::HashWord(h, lane.words[s]);
     }
-    // Phase 3b: resolve fallback lanes in lane order — each re-probes
-    // its slot (hash reused via burst_slot_) against the then-current
-    // content, so outcomes, fills and eviction bookkeeping land exactly
-    // as a per-packet probe loop would produce them.
-    for (std::size_t f = 0; f < fallback_count; ++f) {
-      const std::size_t k = burst_fallback_[f];
-      bool hit = false;
-      FlowVerdict& v = FlowVerdictCache::SlotAt(frow, burst_slot_[k], module,
-                                                burst_words_[k], hit);
-      ResolveCached(*pkts[lanes[k]], burst_phv_[k], plan, frow, acct, module,
-                    v, hit, burst_words_[k], fwd, drop);
-    }
+    lane.hash = FlowVerdictCache::FinishHash(h);
+    __builtin_prefetch(
+        &frow.slots[static_cast<std::size_t>(lane.hash) & slot_mask]);
   }
+  FlowVerdictCache::FlushTally(tally, frow, stages_.data(), stages_.size());
+  if (kr != nullptr) {
+    FlushKernelCounters(stages_.data(), *kr);
+    if (hits != n) kernel_record_fills_.Add(n - hits);
+  }
+  flow_cache_.NoteRun(n, hits);
+  total_processed_ += n;
 }
 
 template <typename PacketT>
@@ -231,10 +228,18 @@ void Pipeline::RunSpan(PacketT* const* pkts, const u32* idx, std::size_t n,
   for (std::size_t k = 0; k < n; ++k) RunOne(*pkts[idx[k]], plan, fwd, drop);
 }
 
+void Pipeline::GrowIndexScratch(std::size_t n) {
+  data_idx_scratch_.resize(n);
+}
+
 template <typename PacketT>
 void Pipeline::RunBurst(PacketT* const* pkts, std::size_t n) {
-  data_idx_scratch_.clear();
-  std::size_t span_start = 0;  // index into data_idx_scratch_
+  // Sized once per burst, outside the loop: the per-packet appends are
+  // plain stores with no capacity check or reallocation path.
+  if (data_idx_scratch_.size() < n) GrowIndexScratch(n);
+  u32* const idx = data_idx_scratch_.data();
+  std::size_t count = 0;       // data packets indexed so far
+  std::size_t span_start = 0;  // index into idx
   ModuleId span_module(0);
   for (std::size_t i = 0; i <= n; ++i) {
     if (i < n) {
@@ -258,21 +263,21 @@ void Pipeline::RunBurst(PacketT* const* pkts, std::size_t n) {
         continue;
       }
       const ModuleId vid = pkt.vid();
-      if (data_idx_scratch_.size() == span_start || vid == span_module) {
+      if (count == span_start || vid == span_module) {
         // Extends the open span (or opens the first one).
         span_module = vid;
-        data_idx_scratch_.push_back(static_cast<u32>(i));
+        idx[count++] = static_cast<u32>(i);
         continue;
       }
       // Tenant change: execute the open span below, then start a new
       // one with this packet.
-    } else if (data_idx_scratch_.size() == span_start) {
+    } else if (count == span_start) {
       break;  // end of burst, no span left to flush
     }
 
     const ModuleId module = span_module;
     const std::size_t a = span_start;
-    const std::size_t b = data_idx_scratch_.size();
+    const std::size_t b = count;
 
     const ModuleExecPlan& plan = ExecPlanFor(module);
     // BeginRun resolves the per-stage contexts AND accounts constant-key
@@ -291,20 +296,16 @@ void Pipeline::RunBurst(PacketT* const* pkts, std::size_t n) {
         stages_.size(), plan);
     if (frow.eligible) {
       // Provably stateless row: every packet goes through the
-      // flow-verdict cache; counter deltas flush once per run.
-      FlowVerdictCache::RunAccounting acct;
-      RunSpanCached(pkts, data_idx_scratch_.data() + a, b - a, plan, frow,
-                    acct, module, fwd, drop);
-      FlowVerdictCache::FlushAccounting(acct, frow, stages_.data(),
-                                        stages_.size());
+      // flow-verdict cache.
+      RunSpanCached(pkts, idx + a, b - a, plan, frow, module, fwd, drop);
     } else {
-      RunSpan(pkts, data_idx_scratch_.data() + a, b - a, plan, fwd, drop);
+      RunSpan(pkts, idx + a, b - a, plan, fwd, drop);
     }
     span_start = b;
     if (i < n) {
       // The packet that closed the previous span opens the next one.
       span_module = pkts[i]->vid();
-      data_idx_scratch_.push_back(static_cast<u32>(i));
+      idx[count++] = static_cast<u32>(i);
     }
   }
 }

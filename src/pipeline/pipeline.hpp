@@ -123,7 +123,7 @@ class Pipeline {
   struct KernelStats {
     u64 pkts = 0;           // packets executed by a specialized kernel
     u64 fallback_pkts = 0;  // packets interpreted (wide/ternary rows)
-    u64 record_fills = 0;   // flow-cache misses filled by the recording kernel
+    u64 record_fills = 0;   // flow-cache misses resolved by kernel steps
     std::array<u64, kKernelShapeCount> shape_pkts{};  // pkts per shape id
   };
   [[nodiscard]] KernelStats KernelSnapshot() const;
@@ -178,11 +178,14 @@ class Pipeline {
   /// non-data packets finish outright and never break a run) and
   /// executes each module run the moment the tenant changes, while its
   /// packets are still cache-hot.  Eligible runs go through the
-  /// burst-probed flow-verdict cache, the rest through the kernel for
+  /// flow-verdict cache, the rest through the kernel for
   /// the run's shape or the interpreted plan.  Writes every packet's
   /// bytes and verdict / disposition / tier sidebands in place.
   template <typename PacketT>
   void RunBurst(PacketT* const* pkts, std::size_t n);
+  /// Grows the data-packet index scratch to `n` entries (out of line, so
+  /// RunBurst keeps no allocation path).
+  [[gnu::noinline]] void GrowIndexScratch(std::size_t n);
   /// Executes one module run (`pkts[idx[0..n)]`) through the specialized
   /// kernel selected for the run's shape, or through the interpreted
   /// RunOne loop when the shape has no registered kernel (wide/ternary).
@@ -193,26 +196,30 @@ class Pipeline {
   /// Interpreted plan path for one packet: parse, ProcessRun per stage.
   template <typename PacketT>
   void RunOne(PacketT& pkt, const ModuleExecPlan& plan, u64& fwd, u64& drop);
-  /// Flow-cache path for an eligible run, in kBurstLanes-sized chunks:
-  /// gather every lane's key words, BurstProbe with slot prefetch-ahead,
-  /// replay hit lanes, then resolve the compacted fallback lanes in lane
-  /// order.  Chunk boundaries behave exactly like per-packet boundaries —
-  /// fills from one chunk are visible to the next chunk's probes — so a
-  /// burst of one is the sequential probe order.
+  /// Flow-cache path for an eligible run: one in-order pass per packet —
+  /// probe the row's slot (counting the probe in its admission sketch),
+  /// then ResolveCached.  Each packet was parsed, and its probing stages'
+  /// key words gathered and hashed, kSlotLookahead packets earlier, when
+  /// its slot line was prefetched.  Misses run the run's compiled kernel
+  /// steps (BuildKernelRun once per run, one FlushKernelCounters at its
+  /// end); ternary-probing rows, which have no kernel, fill through
+  /// BuildVerdict.  Packets resolve in arrival order, so a burst behaves
+  /// exactly like the same packets probed one at a time.
   template <typename PacketT>
   void RunSpanCached(PacketT* const* pkts, const u32* idx, std::size_t n,
                      const ModuleExecPlan& plan, FlowRowState& frow,
-                     FlowVerdictCache::RunAccounting& acct, ModuleId module,
-                     u64& fwd, u64& drop);
-  /// Resolves one fallback lane given its re-probed slot and hit flag:
-  /// replay on a hit, fill through the recording kernel (or the
-  /// interpreted BuildVerdict) on a miss, then the shared tail.
+                     ModuleId module, u64& fwd, u64& drop);
+  /// Resolves one probed packet: replay on a hit; on a miss, the kernel
+  /// steps (`kr`) or BuildVerdict (`kr == nullptr`), then the admission
+  /// decision, which records the verdict into the probed slot or
+  /// nothing.  Hit and BuildVerdict lanes join `tally`.  Returns whether
+  /// the packet hit.
   template <typename PacketT>
-  void ResolveCached(PacketT& pkt, Phv& phv, const ModuleExecPlan& plan,
-                     FlowRowState& frow, FlowVerdictCache::RunAccounting& acct,
-                     ModuleId module, FlowVerdict& v, bool hit,
-                     const FlowVerdictCache::KeyWordArray& words, u64& fwd,
-                     u64& drop);
+  bool ResolveCached(PacketT& pkt, Phv& phv, FlowRowState& frow,
+                     const FlowVerdictCache::Probe& probe, ModuleId module,
+                     const FlowVerdictCache::KeyWordArray& words,
+                     KernelRun* kr, const VliwPlan* const* plans,
+                     FlowVerdictCache::RunTally& tally);
   /// Shared tail of every tier: multicast resolution, planned deparse,
   /// forwarded/dropped accounting.
   template <typename PacketT>
@@ -259,16 +266,20 @@ class Pipeline {
   // Per-packet scratch PHV of the kernel and interpreted tiers:
   // Clear()ed and reused per packet — the ladder never emits a PHV.
   Phv phv_;
-  // Burst-probe scratch, sized to one chunk: per-lane gathered key
-  // words, probe verdict pointers, compacted fallback lane list, slot
-  // indices, and the per-lane parsed PHVs that must survive from the
-  // gather phase to the replay phase.
-  static constexpr std::size_t kBurstLanes = 64;
-  std::array<FlowVerdictCache::KeyWordArray, kBurstLanes> burst_words_{};
-  std::array<const FlowVerdict*, kBurstLanes> burst_verdicts_{};
-  std::array<u32, kBurstLanes> burst_fallback_{};
-  std::array<u32, kBurstLanes> burst_slot_{};
-  std::vector<Phv> burst_phv_ = std::vector<Phv>(kBurstLanes);
+  // BuildVerdict's output on a ternary-probing row's miss, copied into
+  // the slot only when admission takes it.
+  FlowVerdict miss_verdict_;
+  // RunSpanCached's lookahead lanes: a packet's parsed PHV, key words
+  // and hash, prepared kSlotLookahead packets before it resolves so its
+  // slot prefetch overlaps the packets in between (a row too large for
+  // the cache misses on nearly every probe).
+  static constexpr std::size_t kSlotLookahead = 4;
+  struct CachedLane {
+    Phv phv;
+    FlowVerdictCache::KeyWordArray words{};
+    u64 hash = 0;
+  };
+  std::array<CachedLane, kSlotLookahead> cached_lanes_{};
   RelaxedCounter kernel_pkts_;
   RelaxedCounter kernel_fallback_pkts_;
   RelaxedCounter kernel_record_fills_;

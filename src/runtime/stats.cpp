@@ -102,6 +102,7 @@ void FillShardRows(const std::vector<Dataplane::ShardCounters>& counters,
     row.flow_cache_hits = c.flow_cache_hits;
     row.flow_cache_misses = c.flow_cache_misses;
     row.flow_cache_evictions = c.flow_cache_evictions;
+    row.flow_cache_rejects = c.flow_cache_rejects;
     row.flow_cache_occupancy = c.flow_cache_occupancy;
     row.kernel_pkts = c.kernel_pkts;
     row.kernel_fallback_pkts = c.kernel_fallback_pkts;
@@ -199,18 +200,19 @@ std::string DumpDataplaneStats(const Dataplane& dp) {
   {
     char line[400];
     std::snprintf(line, sizeof line,
-                  "  %5s %9s %9s %8s %6s %8s %5s %9s  %9s %9s %6s %6s  "
+                  "  %5s %9s %9s %8s %6s %8s %5s %9s  %9s %9s %6s %6s %6s  "
                   "%9s %8s %7s  %8s %9s %9s %5s %6s\n",
                   "shard", "packets", "fwd", "drop", "filt", "batches", "queue",
-                  "busy_us", "fc_hit", "fc_miss", "fc_ev", "fc_occ", "kernel",
-                  "interp", "fills", "sbursts", "spkts", "epkts", "eq",
-                  "stalls");
+                  "busy_us", "fc_hit", "fc_miss", "fc_ev", "fc_rej", "fc_occ",
+                  "kernel", "interp", "fills", "sbursts", "spkts", "epkts",
+                  "eq", "stalls");
     out += line;
     for (const ShardStats& sh : s.shards) {
       std::snprintf(
           line, sizeof line,
           "  %5zu %9llu %9llu %8llu %6llu %8llu %5llu %9llu  %9llu %9llu "
-          "%6llu %6llu  %9llu %8llu %7llu  %8llu %9llu %9llu %5llu %6llu\n",
+          "%6llu %6llu %6llu  %9llu %8llu %7llu  %8llu %9llu %9llu %5llu "
+          "%6llu\n",
           sh.shard, static_cast<unsigned long long>(sh.packets),
           static_cast<unsigned long long>(sh.forwarded),
           static_cast<unsigned long long>(sh.dropped),
@@ -221,6 +223,7 @@ std::string DumpDataplaneStats(const Dataplane& dp) {
           static_cast<unsigned long long>(sh.flow_cache_hits),
           static_cast<unsigned long long>(sh.flow_cache_misses),
           static_cast<unsigned long long>(sh.flow_cache_evictions),
+          static_cast<unsigned long long>(sh.flow_cache_rejects),
           static_cast<unsigned long long>(sh.flow_cache_occupancy),
           static_cast<unsigned long long>(sh.kernel_pkts),
           static_cast<unsigned long long>(sh.kernel_fallback_pkts),

@@ -60,15 +60,18 @@ struct ShardStats {
   /// utilisation signals (groundwork for per-shard-utilisation scaling).
   u64 queue_depth = 0;
   u64 busy_ns = 0;
-  /// Flow-verdict cache counters for this replica (hits/misses are
-  /// cumulative; occupancy is the instantaneous valid-slot count).
+  /// Flow-verdict cache counters for this replica (hits, misses,
+  /// evictions and admission rejects are cumulative; occupancy is the
+  /// instantaneous valid-slot count).
   u64 flow_cache_hits = 0;
   u64 flow_cache_misses = 0;
   u64 flow_cache_evictions = 0;
+  u64 flow_cache_rejects = 0;
   u64 flow_cache_occupancy = 0;
   /// Specialized-kernel dispatch counters for this replica
   /// (pipeline/kernels.hpp): straight-line-kernel packets, interpreted
-  /// fallback packets (wide/ternary rows), recording-kernel cache fills.
+  /// fallback packets (wide/ternary rows), flow-cache misses resolved by
+  /// kernel steps.
   u64 kernel_pkts = 0;
   u64 kernel_fallback_pkts = 0;
   u64 kernel_record_fills = 0;

@@ -113,6 +113,7 @@ std::vector<MetricSample> BuildMetricSamples(const DataplaneStats& s,
     add("menshen_flow_cache_hits_total", sh.flow_cache_hits);
     add("menshen_flow_cache_misses_total", sh.flow_cache_misses);
     add("menshen_flow_cache_evictions_total", sh.flow_cache_evictions);
+    add("menshen_flow_cache_rejects_total", sh.flow_cache_rejects);
     add("menshen_flow_cache_occupancy", sh.flow_cache_occupancy);
     add("menshen_kernel_pkts_total", sh.kernel_pkts);
     add("menshen_kernel_fallback_pkts_total", sh.kernel_fallback_pkts);

@@ -1,16 +1,15 @@
-// Burst-vectorized flow-cache probing (FlowVerdictCache::BurstProbe) and
-// egress burst transmit (Dataplane::BindEgressDevice / FlushEgress).
+// Flow-cache probing across bursts (Pipeline::RunSpanCached) and egress
+// burst transmit (Dataplane::BindEgressDevice / FlushEgress).
 //
-// The burst path gathers keys, hashes + prefetches across the whole
-// burst, then replays hits and routes fallback lanes through the
-// in-order resolve tail — so its observable behaviour (egress bytes,
-// sidebands, per-tenant order, exact cache accounting) must be
-// indistinguishable from probing one packet at a time, which is what a
-// burst of one does; both must match ProcessUnplanned.  This suite pins
-// that differential under zipfian reuse, epoch commits, migrations and
-// mid-stream resizes, and runs under ASAN+TSAN in CI (the
-// concurrent-producer test is the TSAN target for the burst scratch
-// arrays).
+// The cached pass resolves a burst's packets strictly in arrival order,
+// so its observable behaviour (egress bytes, sidebands, per-tenant
+// order, exact cache accounting including every admission decision)
+// must be indistinguishable from probing one packet at a time, which is
+// what a burst of one does; both must match ProcessUnplanned.  This
+// suite pins that differential under zipfian reuse, epoch commits,
+// migrations and mid-stream resizes, and runs under ASAN+TSAN in CI (the
+// concurrent-producer test is the TSAN target for the per-pipeline
+// cache rows and sketches).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -155,8 +154,8 @@ TEST(BurstProbeDifferential, ZipfStreamAcrossEpochsMigrationsResizes) {
         MakeRouter(allocs.back(), static_cast<u16>(40 + 10 * i), 3));
   }
   // A non-cacheable tenant rides along: its packets split every burst
-  // into spans, so the burst prober sees ragged lane sets, not just
-  // whole bursts.
+  // into spans, so the cached pass sees ragged run lengths (shorter
+  // and longer than its slot lookahead), not just whole bursts.
   const ModuleAllocation calc_alloc =
       UniformAllocation(ModuleId(5), 0, params::kNumStages, 12, 4, 0, 32);
   CompiledModule calc = MustCompile(apps::CalcSpec(), calc_alloc);
@@ -245,30 +244,33 @@ TEST(BurstProbeDifferential, ZipfStreamAcrossEpochsMigrationsResizes) {
   EXPECT_EQ(got_scalar, expected);
 
   // Exact-accounting differential: wide bursts must report the very
-  // same hit/miss/eviction stream as bursts of one — provisional burst
-  // hits that a pending fill taints are resolved in lane order, so the
-  // counters are not allowed to drift.
-  u64 b_hits = 0, b_miss = 0, b_evict = 0, b_burst = 0;
-  u64 s_hits = 0, s_miss = 0, s_evict = 0;
+  // same hit/miss/eviction/reject stream as bursts of one — packets
+  // resolve, fill and update the admission sketch in arrival order, so
+  // the counters are not allowed to drift.
+  u64 b_hits = 0, b_miss = 0, b_evict = 0, b_reject = 0, b_burst = 0;
+  u64 s_hits = 0, s_miss = 0, s_evict = 0, s_reject = 0;
   for (const auto& c : burst_dp.CountersSnapshot()) {
     b_hits += c.flow_cache_hits;
     b_miss += c.flow_cache_misses;
     b_evict += c.flow_cache_evictions;
+    b_reject += c.flow_cache_rejects;
     b_burst += c.flow_cache_burst_pkts;
   }
   for (const auto& c : scalar_dp.CountersSnapshot()) {
     s_hits += c.flow_cache_hits;
     s_miss += c.flow_cache_misses;
     s_evict += c.flow_cache_evictions;
+    s_reject += c.flow_cache_rejects;
   }
   EXPECT_EQ(b_hits, s_hits);
   EXPECT_EQ(b_miss, s_miss);
   EXPECT_EQ(b_evict, s_evict);
-  EXPECT_GT(b_burst, 0u);  // the burst engine actually burst-probed
+  EXPECT_EQ(b_reject, s_reject);
+  EXPECT_GT(b_burst, 0u);  // the burst engine ran the cached tier
 }
 
 // Worker threads + concurrent per-tenant producers + control churn: the
-// TSAN surface for the burst scratch arrays (per-Pipeline, worker-owned)
+// TSAN surface for the cache rows and sketches (per-Pipeline, worker-owned)
 // and the egress binding lock.  Per-tenant egress must stay
 // byte-identical to the unplanned reference, in order.
 TEST(BurstProbeDifferential, ConcurrentProducersWorkerThreadsMatchReference) {
@@ -357,7 +359,7 @@ TEST(BurstProbeDifferential, ConcurrentProducersWorkerThreadsMatchReference) {
   }
 
   // Control churn while the streams fly: every op is quiesced; none may
-  // reorder or corrupt a tenant's stream nor race the burst scratch.
+  // reorder or corrupt a tenant's stream nor race the cache rows.
   std::thread control([&] {
     u64 flip = 0;
     while (producers_done.load() < kProducers) {

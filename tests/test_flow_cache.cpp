@@ -184,10 +184,57 @@ TEST(FlowCache, EvictionAndOccupancyBookkeeping) {
   EXPECT_EQ(fc.misses, 8u);
   EXPECT_GT(fc.evictions, 0u);
   EXPECT_LE(fc.occupancy, 2u);
-  EXPECT_EQ(fc.occupancy + fc.evictions, 8u);  // every fill lands or evicts
+  // Every miss lands in an empty slot, evicts, or is declined.
+  EXPECT_EQ(fc.occupancy + fc.evictions + fc.rejects, 8u);
 
   EXPECT_THROW(pipe.flow_cache().SetSlotsPerRow(3), std::invalid_argument);
   EXPECT_THROW(pipe.flow_cache().SetSlotsPerRow(0), std::invalid_argument);
+}
+
+// --- Admission ------------------------------------------------------------------
+
+/// Streams kZipfPackets router packets — tags zipf(0.9) over 4,096, a
+/// fixed seed, bursts of 64 — through a fresh pipeline with 256-slot
+/// rows and returns the cache statistics.
+constexpr std::size_t kZipfPackets = 102'400;
+FlowCacheStats SeededZipfRun() {
+  Pipeline pipe;
+  ModuleManager mgr(pipe);
+  const auto ar = StandardAlloc(2, 0, 8, 0, 0);
+  CompiledModule router = MakeRouter(ar, 40, 3);
+  MustLoad(mgr, router, ar);
+  mgr.Update(router);
+  EXPECT_EQ(pipe.flow_cache().slots_per_row(), 256u);
+
+  Rng rng(0x5EEDF10C);
+  const ZipfSampler zipf(4096, 0.9);
+  for (std::size_t sent = 0; sent < kZipfPackets; sent += 64) {
+    std::vector<Packet> batch;
+    for (std::size_t i = 0; i < 64; ++i)
+      batch.push_back(TagPacket(2, static_cast<u16>(zipf.Next(rng))));
+    (void)pipe.ProcessBatch(std::move(batch));
+  }
+  return pipe.FlowCacheSnapshot();
+}
+
+TEST(FlowCacheAdmission, SeededZipfHitsAndEvictionsArePinned) {
+  // 4,096 tags contend for 256 direct-mapped slots.  Without admission
+  // each conflict miss evicts (~0.40 hit rate, ~600 evictions per 1,000
+  // packets); the frequency sketch keeps the hot tag of each slot
+  // resident and declines the tail.  Deterministic: no RNG in the
+  // cache, so the counts repeat exactly from run to run.
+  const FlowCacheStats a = SeededZipfRun();
+  const FlowCacheStats b = SeededZipfRun();
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.evictions, b.evictions);
+  EXPECT_EQ(a.rejects, b.rejects);
+  EXPECT_EQ(a.occupancy, b.occupancy);
+
+  EXPECT_EQ(a.hits + a.misses, kZipfPackets);
+  EXPECT_EQ(a.occupancy + a.evictions + a.rejects, a.misses);
+  EXPECT_EQ(a.hits, 49'027u);      // 0.479 of the packets
+  EXPECT_EQ(a.evictions, 6'093u);  // 59.5 per 1,000 packets
 }
 
 // --- Invalidation semantics ----------------------------------------------------
@@ -332,6 +379,87 @@ TEST(FlowCacheDifferential, ZipfTrafficMatchesUnplannedAcrossRewrites) {
               reference.dropped(ModuleId(vid)));
   }
   EXPECT_EQ(cached.total_processed(), reference.total_processed());
+}
+
+// A ternary-probing ACL is cacheable (constant port/drop actions, a
+// one-word key) but has no kernel: its misses fill through BuildVerdict
+// inside the same in-order pass, and its TCAM scan counts ride the
+// packed run tally.  16-slot rows under zipf reuse force evictions and
+// admission rejects; every output and every TCAM, CAM and stage counter
+// must still match the per-packet reference.
+TEST(FlowCacheDifferential, TernaryRowFillsInPassWithExactCounters) {
+  constexpr std::string_view kAcl = R"(
+module acl {
+  field tag : 2 @ 46;
+  action allow(p) { port(p); }
+  action deny { drop(); }
+  table rules { key = { tag }; actions = { allow, deny }; size = 4;
+                match = ternary; }
+}
+)";
+  const ModuleAllocation alloc =
+      UniformAllocation(ModuleId(2), 0, params::kNumStages, 0, 4, 0, 0);
+  CompiledModule m = CompileDsl(kAcl, alloc);
+  // Priority = address: one tag allowed, the rest of its /8 denied,
+  // everything else allowed elsewhere.
+  m.AddTernaryEntry("rules", {{"tag", 0x0101}}, {}, std::nullopt, "allow",
+                    {5});
+  m.AddTernaryEntry("rules", {{"tag", 0x0100}}, {{"tag", 0xFF00}},
+                    std::nullopt, "deny", {});
+  m.AddTernaryEntry("rules", {{"tag", 0}}, {{"tag", 0}}, std::nullopt,
+                    "allow", {9});
+  ASSERT_TRUE(m.ok()) << m.diags().ToString();
+  Pipeline cached;
+  Pipeline reference;
+  ModuleManager mgr_c(cached);
+  ModuleManager mgr_r(reference);
+  for (ModuleManager* mgr : {&mgr_c, &mgr_r}) {
+    MustLoad(*mgr, m, alloc);
+    mgr->Update(m);
+  }
+  ASSERT_TRUE(cached.FlowRowFor(ModuleId(2)).eligible);
+  cached.flow_cache().SetSlotsPerRow(16);
+
+  Rng rng(0x7E2A2CAC);
+  const ZipfSampler zipf(256, 0.9);
+  u64 packets = 0;
+  for (int round = 0; round < 60; ++round) {
+    std::vector<Packet> batch;
+    const std::size_t count = 16 + rng.Below(32);
+    for (std::size_t i = 0; i < count; ++i) {
+      const u16 rank = static_cast<u16>(zipf.Next(rng));
+      batch.push_back(TagPacket(2, rank < 128 ? 0x0100 + rank : rank));
+    }
+    packets += count;
+    std::vector<Packet> copy = batch;
+    const std::vector<PipelineResult> got =
+        cached.ProcessBatch(std::move(copy));
+    for (std::size_t i = 0; i < batch.size(); ++i)
+      ExpectSameOutput(reference.ProcessUnplanned(batch[i]), got[i],
+                       "round " + std::to_string(round) + " packet " +
+                           std::to_string(i));
+  }
+
+  const FlowCacheStats fc = cached.FlowCacheSnapshot();
+  EXPECT_EQ(fc.hits + fc.misses, packets);
+  EXPECT_GT(fc.hits, 0u);
+  EXPECT_GT(fc.evictions, 0u);
+  EXPECT_GT(fc.rejects, 0u);
+  EXPECT_EQ(cached.KernelSnapshot().record_fills, 0u);  // no kernel here
+  for (std::size_t s = 0; s < params::kNumStages; ++s) {
+    SCOPED_TRACE(s);
+    const Stage& c = cached.stage(s);
+    const Stage& r = reference.stage(s);
+    EXPECT_EQ(c.tcam().lookups(), r.tcam().lookups());
+    EXPECT_EQ(c.tcam().hits(), r.tcam().hits());
+    EXPECT_EQ(c.tcam().entries_scanned(), r.tcam().entries_scanned());
+    EXPECT_EQ(c.cam().lookups(), r.cam().lookups());
+    EXPECT_EQ(c.cam().hits(), r.cam().hits());
+    EXPECT_EQ(c.hits(), r.hits());
+    EXPECT_EQ(c.misses(), r.misses());
+  }
+  EXPECT_EQ(cached.forwarded(ModuleId(2)), reference.forwarded(ModuleId(2)));
+  EXPECT_EQ(cached.dropped(ModuleId(2)), reference.dropped(ModuleId(2)));
 }
 
 // --- Dataplane differential across epochs / migrations / resizes ---------------

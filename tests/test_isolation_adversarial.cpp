@@ -2,6 +2,11 @@
 // trying to break each isolation property of section 2.1.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
+#include "common/rng.hpp"
 #include "config/daisy_chain.hpp"
 #include "dataplane/dataplane.hpp"
 #include "runtime/stats.hpp"
@@ -247,6 +252,133 @@ module steer {
   const FlowCacheStats fc = pipe.FlowCacheSnapshot();
   EXPECT_EQ(fc.misses, cold_misses);
   EXPECT_EQ(fc.hits, 50u * 4u);
+}
+
+TEST(Adversarial, OneOffKeyStreamCannotMoveVictimAdmission) {
+  // A tenant streaming one-off keys through its own overlay row sends
+  // exactly the traffic flow-cache admission exists to decline.  The
+  // frequency sketch, like the slots, is per row, so the stream must not
+  // reach a co-located victim: beside it, the victim keeps its outputs,
+  // its row state and its misses, fills and rejects exactly as when it
+  // runs alone.
+  Diagnostics d;
+  const ModuleSpec spec = ParseModuleDsl(R"(
+module steer {
+  field f : 2 @ 46;
+  action out(p) { port(p); }
+  table t { key = { f }; actions = { out }; size = 4; }
+}
+)",
+                                         d);
+  ASSERT_TRUE(d.ok());
+  const auto victim_alloc = StandardAlloc(1, 0, 4, 0, 0);
+  const auto attacker_alloc = StandardAlloc(2, 4, 4, 0, 0);
+  const auto make = [&](const ModuleAllocation& alloc, u16 port_base) {
+    CompiledModule m = MustCompile(spec, alloc);
+    for (u64 k = 0; k < 4; ++k)
+      m.AddEntry("t", {{"f", k}}, std::nullopt, "out", {port_base + k});
+    return m;
+  };
+  const CompiledModule victim = make(victim_alloc, 40);
+  const CompiledModule attacker = make(attacker_alloc, 50);
+
+  // Three identically configured pipelines: the victim alone, the
+  // attacker alone, and both sharing one pipeline.  64-slot rows make
+  // the victim's 512 tags conflict, so its own admission both fills and
+  // rejects.
+  Pipeline alone, flood, shared;
+  ModuleManager mgr_alone(alone), mgr_flood(flood), mgr_shared(shared);
+  for (ModuleManager* mgr : {&mgr_alone, &mgr_flood, &mgr_shared}) {
+    MustLoad(*mgr, victim, victim_alloc);
+    mgr->Update(victim);
+    MustLoad(*mgr, attacker, attacker_alloc);
+    mgr->Update(attacker);
+  }
+  for (Pipeline* p : {&alone, &flood, &shared})
+    p->flow_cache().SetSlotsPerRow(64);
+
+  const auto packet = [](u16 vid, u16 tag) {
+    Packet p = PacketBuilder{}.vid(ModuleId(vid)).frame_size(64).Build();
+    p.bytes().set_u16(46, tag);
+    return p;
+  };
+  std::vector<double> cdf;  // zipf(0.9) over 512 victim tags
+  double sum = 0;
+  for (int k = 1; k <= 512; ++k) cdf.push_back(sum += std::pow(k, -0.9));
+
+  Rng rng(0xA77AC4ED);
+  u16 one_off = 0;
+  std::size_t victim_pkts = 0, attacker_pkts = 0;
+  for (int round = 0; round < 200; ++round) {
+    std::vector<Packet> v_batch, a_batch, mixed;
+    std::vector<bool> is_victim;
+    while (v_batch.size() < 32 || a_batch.size() < 32) {
+      // A random merge keeps each tenant's order and varies run lengths.
+      const bool pick_victim =
+          a_batch.size() == 32 || (v_batch.size() < 32 && rng.Below(2) == 0);
+      if (pick_victim) {
+        const u16 tag = static_cast<u16>(
+            std::lower_bound(cdf.begin(), cdf.end(),
+                             rng.NextDouble() * cdf.back()) -
+            cdf.begin());
+        v_batch.push_back(packet(1, tag));
+        mixed.push_back(v_batch.back());
+      } else {
+        a_batch.push_back(packet(2, one_off++));
+        mixed.push_back(a_batch.back());
+      }
+      is_victim.push_back(pick_victim);
+    }
+    victim_pkts += v_batch.size();
+    attacker_pkts += a_batch.size();
+    const std::vector<PipelineResult> want =
+        alone.ProcessBatch(std::move(v_batch));
+    (void)flood.ProcessBatch(std::move(a_batch));
+    const std::vector<PipelineResult> got =
+        shared.ProcessBatch(std::move(mixed));
+    std::size_t v = 0;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      if (!is_victim[i]) continue;
+      ASSERT_TRUE(got[i].output && want[v].output);
+      EXPECT_EQ(got[i].output->bytes().hex(), want[v].output->bytes().hex())
+          << "round " << round << " victim packet " << v;
+      EXPECT_EQ(got[i].output->egress_port, want[v].output->egress_port);
+      ++v;
+    }
+  }
+
+  const FlowCacheStats a = alone.FlowCacheSnapshot();
+  const FlowCacheStats f = flood.FlowCacheSnapshot();
+  const FlowCacheStats s = shared.FlowCacheSnapshot();
+  // The stream is all misses; the victim's own admission was exercised.
+  EXPECT_EQ(f.hits, 0u);
+  EXPECT_EQ(f.misses, attacker_pkts);
+  EXPECT_EQ(a.hits + a.misses, victim_pkts);
+  EXPECT_GT(a.rejects, 0u);
+  EXPECT_GT(a.evictions, 0u);
+  // Sharing the pipeline adds the two tenants' counts, nothing more.
+  EXPECT_EQ(s.hits, a.hits + f.hits);
+  EXPECT_EQ(s.misses, a.misses + f.misses);
+  EXPECT_EQ(s.evictions, a.evictions + f.evictions);
+  EXPECT_EQ(s.rejects, a.rejects + f.rejects);
+  EXPECT_EQ(s.occupancy, a.occupancy + f.occupancy);
+  // And the victim's row — slots and sketch — is byte-for-byte the one
+  // it builds alone.
+  const FlowRowState& ra = alone.flow_cache().RowAt(1);
+  const FlowRowState& rs = shared.flow_cache().RowAt(1);
+  EXPECT_EQ(ra.sketch, rs.sketch);
+  EXPECT_EQ(ra.sketch_countdown, rs.sketch_countdown);
+  EXPECT_EQ(ra.live, rs.live);
+  ASSERT_EQ(ra.slots.size(), rs.slots.size());
+  for (std::size_t i = 0; i < ra.slots.size(); ++i) {
+    const FlowVerdict& x = ra.slots[i];
+    const FlowVerdict& y = rs.slots[i];
+    EXPECT_EQ(x.valid, y.valid) << "slot " << i;
+    if (!x.valid || !y.valid) continue;
+    EXPECT_EQ(x.words, y.words) << "slot " << i;
+    EXPECT_EQ(x.matched, y.matched) << "slot " << i;
+    EXPECT_EQ(x.address, y.address) << "slot " << i;
+  }
 }
 
 TEST(Adversarial, FloodingTenantCannotMoveVictimTailLatency) {

@@ -97,7 +97,7 @@ inline Packet SourceRoutePacket(u16 vid, u16 tag, u16 hops) {
 // --- A flow-cacheable tenant -------------------------------------------------
 
 /// One-word-key router with constant port/drop actions, so its row is
-/// flow-cacheable (the burst-probe tier serves it).
+/// flow-cacheable (the flow-cache tier serves it).
 inline const ModuleSpec& TagRouterSpec() {
   static const ModuleSpec spec = [] {
     Diagnostics d;
