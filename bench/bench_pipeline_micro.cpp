@@ -86,13 +86,12 @@ Packet CalcRequest() {
   return p;
 }
 
-// --- Kernel-shape tenants (micro_kernel_* rows) -------------------------------
+// --- Kernel-tier tenants (micro_kernel_* rows) -------------------------------
 //
-// One tenant per kernel shape class the registry dispatches (none of
-// them is flow-cacheable, so every packet takes the kernel or the
-// interpreted fallback): calc is the stateless multi-slot probe shape,
-// netchain the stateful sequencer shape, and the ternary ACL the
-// wide/ternary shape that routes to the interpreted plan path.
+// None of them is flow-cacheable, so every packet takes the compiled
+// steps or the interpreted fallback: calc is a stateless multi-slot
+// probe row, netchain a stateful sequencer row, and the ternary ACL a
+// wide/ternary row that routes to the interpreted plan path.
 
 Pipeline& LoadedNetChainPipeline() {
   static Pipeline pipe;
@@ -731,21 +730,20 @@ void EmitMicroJson() {
       {"micro_flow_cache_zipf_s1.1", FlowCacheZipfPerPktNs(1.1)},
       // Probing the cold 16-bit tag space (see FlowCacheColdZipfPerPktNs).
       {"micro_flow_cache_burst_hit", FlowCacheColdZipfPerPktNs()},
-      // --- Specialized-kernel rows, one per dispatched shape class ------------
-      // Stateless multi-slot probe shape (calc).
+      // --- Kernel-tier rows --------------------------------------------------
+      // Stateless multi-slot probe row (calc).
       {"micro_kernel_multislot",
        RecycledBatchPerPktNs(LoadedCalcPipeline(),
                              std::vector<Packet>(1000, CalcRequest()), 200,
                              25)},
-      // Stateful sequencer shape (netchain): the kernel carries the
-      // stateful segment through each step.
+      // Stateful sequencer row (netchain): the compiled steps carry the
+      // stateful segment.
       {"micro_kernel_stateful",
        RecycledBatchPerPktNs(LoadedNetChainPipeline(),
                              std::vector<Packet>(1000, NetChainRequest()), 200,
                              25)},
-      // Wide/ternary shape (ternary ACL): the one class with no
-      // registered kernel — provably routed to the interpreted plan
-      // fallback (see test_kernels exhaustiveness unit).
+      // Wide/ternary row (ternary ACL): no compiled steps, so it runs
+      // the interpreted plan fallback.
       {"micro_kernel_wide_fallback",
        RecycledBatchPerPktNs(LoadedAclPipeline(),
                              std::vector<Packet>(1000, AclRequest()), 200,
@@ -770,32 +768,6 @@ void EmitMicroJson() {
     std::printf("  %-32s %8.1f ns/op\n", r.name, r.ns);
   }
   std::fclose(f);
-
-  // Kernel-shape packet distribution over everything this run executed —
-  // uploaded as a CI artifact on bench-gate failure so a shape that
-  // silently moved off its kernel is visible without re-running.
-  std::FILE* sf = std::fopen("KERNEL_shapes.txt", "w");
-  if (sf == nullptr) return;
-  const struct {
-    const char* name;
-    Pipeline* pipe;
-  } pipes[] = {{"calc", &LoadedCalcPipeline()},
-               {"netchain", &LoadedNetChainPipeline()},
-               {"acl", &LoadedAclPipeline()},
-               {"router", &LoadedRouterPipeline()}};
-  for (const auto& p : pipes) {
-    const Pipeline::KernelStats ks = p.pipe->KernelSnapshot();
-    std::fprintf(sf,
-                 "%s: kernel_pkts=%llu fallback_pkts=%llu record_fills=%llu\n",
-                 p.name, static_cast<unsigned long long>(ks.pkts),
-                 static_cast<unsigned long long>(ks.fallback_pkts),
-                 static_cast<unsigned long long>(ks.record_fills));
-    for (std::size_t id = 0; id < kKernelShapeCount; ++id)
-      if (ks.shape_pkts[id] != 0)
-        std::fprintf(sf, "  %s=%llu\n", KernelShapeName(static_cast<u8>(id)),
-                     static_cast<unsigned long long>(ks.shape_pkts[id]));
-  }
-  std::fclose(sf);
 }
 
 }  // namespace

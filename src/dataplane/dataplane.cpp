@@ -515,6 +515,12 @@ void Dataplane::ExecuteWork(std::size_t s, ingress::ShardWork& work) {
   for (const PacketT* p : pkts)
     ctx.vids.push_back(p->has_vlan() ? p->vid().value() : kNoVid);
 
+  // Tier counts are the burst's delta of the replica's own tier
+  // counters: no per-packet pass.
+  const bool histograms = telemetry_.histograms_enabled();
+  const std::array<u64, kExecTierCount> tiers_before =
+      histograms ? shards_[s].TierPkts() : std::array<u64, kExecTierCount>{};
+
   bool ok = true;
   try {
     shards_[s].ProcessStreamBurst(pkts.data(), n);
@@ -547,7 +553,6 @@ void Dataplane::ExecuteWork(std::size_t s, ingress::ShardWork& work) {
     // accounting, so the relaxed stats agree with the exact ones whenever
     // the engine is quiet.  Runs before the tail below hands the packets
     // on.
-    const bool histograms = telemetry_.histograms_enabled();
     const bool sampling = telemetry_.sample_every() != 0;
     const u64 now = histograms || sampling ? TscClock::Now() : 0;
     u64 fwd = 0;
@@ -581,9 +586,13 @@ void Dataplane::ExecuteWork(std::size_t s, ingress::ShardWork& work) {
     ctx.filtered.Add(n - fwd - drop);
 
     if (histograms) {
-      std::array<u64, kExecTierCount> tiers{};
-      for (const PacketT* p : pkts)
-        ++tiers[p->exec_tier < kExecTierCount ? p->exec_tier : 0];
+      // Packets no tier resolved (filtered) are what is left over.
+      std::array<u64, kExecTierCount> tiers = shards_[s].TierPkts();
+      tiers[0] = n;
+      for (u8 t = 1; t < kExecTierCount; ++t) {
+        tiers[t] -= tiers_before[t];
+        tiers[0] -= tiers[t];
+      }
       for (u8 t = 0; t < kExecTierCount; ++t)
         if (tiers[t] != 0) telemetry_.CountTier(s, t, tiers[t]);
     }
@@ -847,7 +856,6 @@ Dataplane::ShardCounters Dataplane::ShardCountersLocked(std::size_t i) const {
   c.kernel_pkts = ks.pkts;
   c.kernel_fallback_pkts = ks.fallback_pkts;
   c.kernel_record_fills = ks.record_fills;
-  c.kernel_shape_pkts = ks.shape_pkts;
   return c;
 }
 

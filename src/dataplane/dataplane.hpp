@@ -132,7 +132,7 @@ class Dataplane {
 
   /// Compiles (without caching) the execution plan for `tenant`'s row on
   /// its steered shard — the stats dump's view of the tenant's flow-cache
-  /// blocker and kernel shape.  Pins the shard set (shared gate) but
+  /// blocker and tier.  Pins the shard set (shared gate) but
   /// never drains traffic.
   [[nodiscard]] ModuleExecPlan DescribeTenantRow(ModuleId tenant) const;
 
@@ -328,14 +328,12 @@ class Dataplane {
     /// end-to-end bench, which reads them.
     u64 flow_cache_burst_pkts = 0;
     u64 flow_cache_burst_fallback = 0;
-    /// Specialized-kernel dispatch (pipeline/kernels.hpp): packets run
-    /// by a straight-line kernel, packets interpreted (wide/ternary
-    /// rows), flow-cache misses resolved by the run's kernel steps, and
-    /// the per-shape-id packet distribution.
+    /// Kernel tier (pipeline/kernels.hpp): packets run by a row's
+    /// compiled steps, packets interpreted (wide/ternary rows), and
+    /// flow-cache misses resolved by the row's compiled steps.
     u64 kernel_pkts = 0;
     u64 kernel_fallback_pkts = 0;
     u64 kernel_record_fills = 0;
-    std::array<u64, kKernelShapeCount> kernel_shape_pkts{};
     /// Streaming path: bursts and packets run to completion on this
     /// replica (stream_pkts is included in `packets`), packets pushed
     /// onto the egress queue, and its occupancy at snapshot time.

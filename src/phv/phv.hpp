@@ -266,7 +266,10 @@ class Phv {
     return ByteOffsetOf(c);
   }
 
-  static void CheckMeta(std::size_t off, std::size_t len) {
+  // Always inlined: every caller passes constants, so the check folds
+  // away instead of becoming a call in the ladder's large loops.
+  [[gnu::always_inline]] static void CheckMeta(std::size_t off,
+                                               std::size_t len) {
     if (off + len > kMetadataBytes)
       throw std::out_of_range("PHV metadata access out of range");
   }

@@ -119,8 +119,8 @@ class ExactMatchCam {
   [[nodiscard]] u64 lookups() const { return lookups_.load(); }
   [[nodiscard]] u64 hits() const { return hits_.load(); }
 
-  /// Accounts `n` additional lookups whose result a run context resolved
-  /// once (an all-zero-mask module probes the same key every packet):
+  /// Accounts `n` lookups whose result a run context resolved once,
+  /// quietly (an all-zero-mask module probes the same key every packet):
   /// the counters advance exactly as if each packet had probed.
   void NoteConstantLookups(u64 n, bool hit) const {
     lookups_.Add(n);

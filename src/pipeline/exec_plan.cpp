@@ -74,38 +74,6 @@ FlowCacheBlocker StageActionBlocker(const Stage& stage, std::size_t row,
   return blocker;
 }
 
-/// Folds one stage's contribution into the plan's kernel shape: whether
-/// any reachable VLIW action is stateful, whether any reachable VLIW
-/// plan needs the multi-slot/snapshot execution form, and whether the
-/// stage can contribute a kernel step at all.  Same per-address
-/// reachability rule as AccumulateVliwLiveness (conservative for
-/// aliased module IDs — aliasing can only widen the shape, never
-/// narrow it, which is the safe direction).
-void AccumulateKernelShape(const Stage& stage, std::size_t row,
-                           std::size_t overlay_depth, bool mask_zero,
-                           ModuleExecPlan::KernelShape& shape) {
-  bool any_entry = false;
-  const auto visit = [&](std::size_t address) {
-    any_entry = true;
-    const VliwEntry& vliw = stage.VliwAt(address);
-    for (const AluAction& a : vliw.slots)
-      if (a.op != AluOp::kNop && OpTouchesState(a.op)) shape.stateful = true;
-    const VliwPlan& plan = stage.VliwPlanAt(address);
-    if (plan.count > 1 || !plan.in_place_safe) shape.multi_slot = true;
-  };
-  for (std::size_t a = 0; a < stage.cam().depth(); ++a) {
-    const CamEntry& e = stage.cam().At(a);
-    if (e.valid && e.module.value() % overlay_depth == row) visit(a);
-  }
-  for (std::size_t a = 0; a < stage.tcam().depth(); ++a) {
-    const TcamEntry& e = stage.tcam().At(a);
-    if (e.valid && e.module.value() % overlay_depth == row) visit(a);
-  }
-  // A probing stage always owes a per-packet step; an all-zero-mask
-  // stage only contributes when a constant hit is possible at all.
-  if (!mask_zero || any_entry) ++shape.potential_steps;
-}
-
 /// Byte range [begin, end) a parse/deparse action touches (nominal; the
 /// runtime clips to the parser window and packet length, which can only
 /// shrink both paths identically).
@@ -178,10 +146,9 @@ ModuleExecPlan CompileModuleExecPlan(const ParserEntry& parse_entry,
     }
     AccumulateVliwLiveness(stage, row, depth, plan.read_live, plan.written);
 
-    // --- Kernel shape (pipeline/kernels) -----------------------------------
+    // --- Kernel tier (pipeline/kernels) ------------------------------------
     if (!mask.is_zero() && (kx.ternary || !mask.high_words_zero()))
       plan.kernel.wide_or_ternary = true;
-    AccumulateKernelShape(stage, row, depth, mask.is_zero(), plan.kernel);
   }
 
   // --- Flow-cache stateless provability (pipeline/flow_cache) ---------------

@@ -111,28 +111,15 @@ struct ModuleExecPlan {
   };
   KeyGather gather;
 
-  /// Plan-level kernel-shape facts (pipeline/kernels): conservative
-  /// properties of every VLIW action reachable through the row's match
-  /// entries, computed with the same per-address reachability rule as
-  /// the liveness scan.  The specialized straight-line kernels are
-  /// selected per module run from these bits plus the run-resolved step
-  /// count; `wide_or_ternary` rows route to the interpreted plan path
-  /// (the one shape class with no registered kernel).
+  /// Kernel-tier facts (pipeline/kernels): whether the row's module
+  /// runs can compile to steps at all.
   struct KernelShape {
     /// Some stage with a nonzero key mask is ternary or keeps mask bits
     /// above key word 0 — its probe needs the BitVec/TCAM machinery the
-    /// kernels do not inline.  (An all-zero-mask ternary stage is fine:
-    /// its constant lookup resolves in Stage::BeginRun.)
+    /// compiled steps do not inline, so the row runs the interpreted
+    /// plan path.  (An all-zero-mask ternary stage is fine: its constant
+    /// lookup resolves in Stage::ResolveRun.)
     bool wide_or_ternary = false;
-    /// Some reachable action touches stateful memory.
-    bool stateful = false;
-    /// Some reachable VLIW plan has more than one active slot or needs
-    /// the incoming-PHV snapshot; single-slot rows execute with neither.
-    bool multi_slot = false;
-    /// Upper bound on the stages that can contribute a kernel step: a
-    /// probing stage always can, an all-zero-mask stage only if some
-    /// valid match entry aliases the row (a constant hit is possible).
-    u8 potential_steps = 0;
   };
   KernelShape kernel;
 };

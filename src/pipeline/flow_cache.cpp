@@ -168,7 +168,7 @@ void FlowVerdictCache::FlushTally(RunTally& t, const FlowRowState& row,
   if (t.lanes == 0) return;
   constexpr u64 kField = (u64{1} << kTallyBits) - 1;
   for (std::size_t s = 0; s < num_stages; ++s) {
-    if ((row.probed & (1u << s)) == 0) continue;  // BeginRun accounted it
+    if ((row.probed & (1u << s)) == 0) continue;  // a constant-key stage
     const unsigned shift = kTallyBits * static_cast<unsigned>(s);
     const u64 hits = (t.hits >> shift) & kField;
     if (row.keys[s].ternary) {

@@ -47,26 +47,28 @@
 // can neither inflate nor age another tenant's counters (pinned by
 // tests/test_isolation_adversarial.cpp).
 //
-// Invalidation follows the execution plans: rows are stamped with the
-// pipeline's summed config version counters, so direct table writes,
-// epoch commits and ResizeShards config-log replay all invalidate
-// coherently.  On a stamp move the row's relevant configuration (key
-// extractor/mask rows, aliasing CAM/TCAM entries, their VLIW entries) is
-// re-snapshotted and deep-compared: only a *change in this row's own
-// config* flushes its verdicts, so a hostile tenant thrashing its own
-// tables cannot starve another tenant's hit rate.  A verdict names its
+// Invalidation follows the row programs: rows are stamped with the
+// pipeline's config stamp (its summed version counters), so direct
+// table writes, epoch commits and ResizeShards config-log replay all
+// invalidate coherently.  On a stamp move the row's relevant
+// configuration (key extractor/mask rows, aliasing CAM/TCAM entries,
+// their VLIW entries) is re-snapshotted and deep-compared: only a
+// *change in this row's own config* flushes its verdicts, so a hostile
+// tenant thrashing its own tables cannot starve another tenant's hit
+// rate.  A verdict names its
 // matched entries by (stage, address) and replays their compiled plans,
 // which a snapshot-equal row leaves unchanged.  Multicast port lists
 // have no version counter, so only the group id is replayed and ports
 // resolve live per packet, exactly like the uncached path.
 //
 // Counter accounting is exact: constant-key (all-zero-mask) stages are
-// accounted by Stage::BeginRun for the whole run; misses resolved by
-// kernel steps are accounted by the steps (FlushKernelCounters); every
-// other lane adds its verdict's packed per-stage hit and scan counts to
-// a RunTally, flushed into the CAM/TCAM and stage counters at most every
-// kTallyChunk lanes (FlushTally) — so every counter advances exactly as
-// if each packet had probed.
+// accounted by Stage::AccountConstantRun for the whole run; misses
+// resolved by kernel steps are accounted by the steps
+// (FlushKernelCounters); every other lane adds its verdict's packed
+// per-stage hit and scan counts to a RunTally, flushed into the
+// CAM/TCAM and stage counters at most every kTallyChunk lanes
+// (FlushTally) — so every counter advances exactly as if each packet
+// had probed.
 #pragma once
 
 #include <array>
@@ -149,7 +151,7 @@ struct FlowRowConfig {
 
 /// One overlay row's cache state.
 struct FlowRowState {
-  u64 built_at_version = ~u64{0};  // ConfigVersionSum stamp
+  u64 built_at_version = ~u64{0};  // Pipeline config stamp
   bool eligible = false;
   u8 probed = 0;  // bit s: stage s probes (its key mask is nonzero)
   std::array<FlowStageKey, params::kNumStages> keys{};
@@ -210,8 +212,8 @@ class FlowVerdictCache {
   }
 
   /// Returns `row`'s cache state, refreshed for the configuration stamp
-  /// `stamp` (the pipeline's ConfigVersionSum at the matching ExecPlanFor
-  /// call).  On a stamp move the row config is re-snapshotted; verdicts
+  /// `stamp` (the pipeline's config stamp its row program was built
+  /// at).  On a stamp move the row config is re-snapshotted; verdicts
   /// are kept when it deep-compares equal and flushed otherwise.
   FlowRowState& EnsureRow(std::size_t row, u64 stamp, const Stage* stages,
                           std::size_t num_stages, const ModuleExecPlan& plan);

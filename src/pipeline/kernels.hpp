@@ -1,50 +1,46 @@
-// Specialized straight-line kernels for compiled execution plans.
+// Compiled steps: the kernel tier of the execution ladder.
 //
 // PR 5 compiled per-packet work into interpreted plan data; this layer
-// removes the remaining per-step dispatch.  Every compiled
-// ModuleExecPlan is classified into a small enumerable shape — step
-// count (stages that actually contribute work this run) × stateful /
-// stateless × single-slot / multi-slot × one-word-exact vs
-// wide-or-ternary — and each module run dispatches to a templated
-// straight-line kernel instantiated per shape.  A kernel fuses the
-// whole per-packet loop — planned parse byte-moves, key-word
-// extraction, CAM word-index probe, compiled VLIW slots with snapshot
-// elision, planned deparse — into one function with a single pass over
-// the PHV: the step count is a compile-time constant (the stage loop
-// unrolls), single-slot rows skip the snapshot and the slot loop, and
-// constant-miss stages are compiled out of the run entirely.
+// removes the remaining per-stage dispatch.  BuildKernelRun compiles the
+// per-stage run contexts Stage::ResolveRun resolved for one module into
+// a list of steps, one per stage that contributes per-packet work:
+//  - probe: extract the one-word key from the evolving PHV (raw loads at
+//    fixed PHV offsets), probe the module's CAM word index, apply the
+//    matched row's compiled VLIW plan;
+//  - constant apply: an all-zero-mask stage whose lookup hit — only the
+//    action runs.
+// Constant misses and all-nop constant hits compile to nothing.  A row
+// with a wide (above key word 0) or ternary probe compiles no steps and
+// runs the interpreted plan path (Pipeline::RunSpan's other loop).
 //
-// Selection happens once per module run, from the run contexts
-// Stage::BeginRun resolved; invalidation therefore rides the exact same
-// summed config-version stamps the execution plans already use.  The
-// one shape class with no registered kernel — wide_or_ternary — routes
-// to the interpreted plan path (Pipeline::RunOne).  Kernels are
-// templated over the packet type like the rest of the ladder: one
-// registry per type, the same shapes in both (tests/test_kernels.cpp
-// pins byte-identity against ProcessUnplanned; the exhaustiveness unit
-// pins that no other shape can silently fall through).
+// Steps live in the tenant row's program (Pipeline), next to the run
+// contexts they were compiled from, and are rebuilt only when the
+// pipeline's config stamp or the row's module ID moves — not once per
+// run.  Every non-cached kernel run is one loop over its packets:
+// planned parse, RunKernelSteps (inlined), planned deparse.  The flow
+// cache's misses run the same steps one packet at a time.  ProcessUnplanned
+// is the reference tests/test_kernels.cpp pins both against.
 //
 // Counter exactness: probes are quiet (no per-packet atomics) and each
-// step accumulates its hit/miss outcomes into run-local fields; one
+// step accumulates its hit/miss outcomes into step-local fields; one
 // flush per run (FlushKernelCounters) advances the CAM lookup/hit and
 // stage hit/miss counters by the identical totals per-packet
 // interpretation would have recorded — the same bulk discipline the
-// flow-verdict cache uses.  Constant-key stages were already accounted
-// by BeginRun.  The flow cache's miss path runs the same compiled steps
-// one packet at a time (RunKernelSteps).
+// flow-verdict cache uses.  Constant-key stages are accounted per run by
+// Stage::AccountConstantRun.
 //
-// Each probing step also memoizes its last (key -> outcome) pair: a run
-// never spans a configuration change, so a repeated key — the common
-// case under zipfian flow locality — replays the previous outcome
-// without re-probing.  Counters still advance per packet.
+// Each probing step also memoizes its last (key -> outcome) pair.  The
+// memo lives as long as the program: a program never outlives a
+// configuration change, so a repeated key — the common case under
+// zipfian flow locality — replays the previous outcome without
+// re-probing, across runs.  Counters still advance per packet.
 #pragma once
 
 #include <array>
 #include <cstddef>
-#include <unordered_map>
-#include <vector>
 
 #include "phv/phv.hpp"
+#include "pipeline/action_engine.hpp"
 #include "pipeline/exec_plan.hpp"
 #include "pipeline/flow_cache.hpp"
 #include "pipeline/params.hpp"
@@ -52,30 +48,13 @@
 
 namespace menshen {
 
-/// Shape id: bits [2:0] step count (0..kNumStages), bit 3 stateful,
-/// bit 4 multi-slot, bit 5 wide-or-ternary.  64 ids; the registry holds
-/// a kernel for every id a run can actually present (steps <=
-/// kNumStages, wide bit clear) and nullptr — meaning "interpreted plan
-/// fallback" — for the rest.
-inline constexpr std::size_t kKernelShapeCount = 64;
-
-[[nodiscard]] constexpr u8 KernelShapeId(u8 steps, bool stateful,
-                                         bool multi_slot,
-                                         bool wide_or_ternary) {
-  return static_cast<u8>((steps & 0x7u) | (stateful ? 0x08u : 0u) |
-                         (multi_slot ? 0x10u : 0u) |
-                         (wide_or_ternary ? 0x20u : 0u));
-}
-/// Human-readable shape label, e.g. "s2+stateful" or "wide/ternary:s1"
-/// (stats dumps and the CI shape-distribution artifact).
-[[nodiscard]] const char* KernelShapeName(u8 shape);
-
-/// One stage's contribution to a kernel run.  Two forms:
+/// One stage's contribution to a row's compiled steps.  Two forms:
 ///  - probe (constant == false): extract the one-word key from the
 ///    evolving PHV, probe the per-module CAM word index, apply the
 ///    matched row's compiled VLIW plan;
-///  - constant apply (constant == true): the lookup was resolved (and
-///    fully accounted) by Stage::BeginRun — only the action runs.
+///  - constant apply (constant == true): the lookup was resolved by
+///    Stage::ResolveRun (and is accounted per run) — only the action
+///    runs.
 /// Constant *misses* never become steps at all.
 struct KernelStep {
   const KeyExtractorEntry* kx = nullptr;
@@ -93,73 +72,81 @@ struct KernelStep {
   const VliwPlan* const_plan = nullptr;
   StatefulMemory::Segment segment;
   u8 stage = 0;  // owning stage index (counter flush)
-  // Last-probe memo: valid for the rest of the run, because run
-  // contexts never span a configuration change.  A constant step holds
-  // its matched address here (memo_hit set) for flow-cache recording.
+  // Last-probe memo: valid as long as the step, because a row program
+  // never outlives a configuration change.  A constant step holds its
+  // matched address here (memo_hit set) for flow-cache recording.
   u64 memo_key = 0;
   u32 memo_addr = 0;
   bool memo_valid = false;
   bool memo_hit = false;
-  // Run-local counter accumulators (probe form only).  The CAM deltas
-  // derive from the same pair: lookups = hits + misses.
+  // Per-run counter accumulators (probe form only), flushed by
+  // FlushKernelCounters.  The CAM deltas derive from the same pair:
+  // lookups = hits + misses.
   u64 hits = 0;
   u64 misses = 0;
 };
 
-/// One module run's compiled kernel input: the surviving steps plus the
-/// module's parse/deparse plans.  Reused across runs by the pipeline.
+/// One row's compiled steps.
 struct KernelRun {
   std::array<KernelStep, params::kNumStages> steps{};
   u8 num_steps = 0;
-  const ParsePlan* parse = nullptr;
-  const DeparsePlan* deparse = nullptr;
 };
 
-/// Per-run packet span a kernel executes: `idx[0..n)` index `pkts` (the
-/// pipeline's classified data-packet order), each packet mutated in
-/// place.  `work` is the pipeline's reused per-packet PHV scratch
-/// (Clear()ed per packet by the kernel).
-template <typename PacketT>
-struct KernelCtx {
-  PacketT* const* pkts = nullptr;
-  const u32* idx = nullptr;
-  std::size_t n = 0;
-  const std::unordered_map<u16, std::vector<u16>>* mcast = nullptr;
-  u64* fwd = nullptr;
-  u64* drop = nullptr;
-  Phv* snapshot = nullptr;  // multi-slot VLIW snapshot scratch
-  Phv* work = nullptr;      // per-packet PHV scratch
-};
-
-template <typename PacketT>
-using KernelFn = void (*)(KernelRun&, const KernelCtx<PacketT>&);
-
-/// The kernel registry for one packet type (Packet or ArenaPacket): one
-/// slot per shape id.  nullptr = no registered kernel, route to the
-/// interpreted plan path.
-template <typename PacketT>
-[[nodiscard]] const std::array<KernelFn<PacketT>, kKernelShapeCount>&
-KernelRegistry();
-
-/// Compiles the per-stage run contexts BeginRun resolved into a kernel
-/// step list.  Returns false — interpreter fallback — iff some probing
-/// stage needs the wide-key or ternary machinery (exactly the plans
-/// whose KernelShape has wide_or_ternary set; the exhaustiveness test
-/// pins the equivalence).
+/// Compiles the per-stage run contexts Stage::ResolveRun resolved into a
+/// step list.  Returns false — interpreted plan path — iff some probing
+/// stage needs the wide-key or ternary machinery (exactly the plans with
+/// `kernel.wide_or_ternary` set).
 [[nodiscard]] bool BuildKernelRun(const Stage* stages, std::size_t num_stages,
                                   const Stage::ModuleRunContext* ctx,
-                                  const ModuleExecPlan& plan, KernelRun& kr);
+                                  KernelRun& kr);
 
-/// Flushes the run-local accumulators after a kernel run: CAM
-/// lookup/hit and stage hit/miss counters advance by exactly what
-/// per-packet probing would have recorded.
+/// Flushes the per-run accumulators after a run: CAM lookup/hit and
+/// stage hit/miss counters advance by exactly what per-packet probing
+/// would have recorded.
 void FlushKernelCounters(Stage* stages, KernelRun& kr);
 
-/// The flow cache's miss path (Pipeline::RunSpanCached): runs the run's
-/// compiled steps over one parsed PHV — the same key extraction, memoized
-/// word-index probe and compiled plans as the kernels, with the step
-/// counters accumulating for the run's one FlushKernelCounters.
-void RunKernelSteps(KernelRun& kr, Phv& phv, Phv& snapshot);
+/// One step against the evolving PHV.
+inline void RunStep(KernelStep& st, Phv& phv, Phv& snapshot) {
+  const VliwPlan* plan;
+  if (st.constant) {
+    plan = st.const_plan;
+  } else {
+    const u64 key =
+        (st.key_nparts >= 0
+             ? KeyExtractorEntry::LoadWord0(phv.raw().data(), st.key_parts,
+                                            st.key_nparts)
+             : st.kx->ExtractKeyWord0(phv, st.active_slots, st.pred_active)) &
+        st.word_mask;
+    // Quiet probe with a last-key memo — the CAM cannot change while the
+    // step lives, so a repeated key replays the previous outcome without
+    // re-scanning.
+    if (!st.memo_valid || key != st.memo_key) {
+      st.memo_valid = true;
+      st.memo_key = key;
+      st.memo_hit = false;
+      if (st.word_index != nullptr) {
+        if (const auto address = st.word_index->Find(key)) {
+          st.memo_hit = true;
+          st.memo_addr = static_cast<u32>(*address);
+        }
+      }
+    }
+    if (!st.memo_hit) {
+      ++st.misses;
+      return;  // miss: default action is a no-op
+    }
+    ++st.hits;
+    plan = st.vliw_plans + st.memo_addr;
+  }
+  ActionEngine::ExecuteCompiled(*plan, phv, snapshot, st.segment);
+}
+
+/// Runs a row's compiled steps over one parsed PHV.  `snapshot` is the
+/// multi-slot VLIW snapshot scratch.
+inline void RunKernelSteps(KernelRun& kr, Phv& phv, Phv& snapshot) {
+  for (std::size_t k = 0; k < kr.num_steps; ++k)
+    RunStep(kr.steps[k], phv, snapshot);
+}
 
 /// After RunKernelSteps: records which entry each step matched for the
 /// packet just run into `v` (matched/address; scanned = 0), checking the

@@ -15,29 +15,48 @@ Pipeline::Pipeline(PipelineTiming timing, bool reconfig_on_data_path)
       filter_(timing.deparsers, reconfig_on_data_path),
       stages_(params::kNumStages) {}
 
-u64 Pipeline::ConfigVersionSum() const {
+u64 Pipeline::ConfigStamp() const {
   // Every configuration mutation path bumps one of these monotonic
   // counters, so the sum moves on any write — epoch commits, direct
   // table writes from tests, and ResizeShards config-log replay alike.
   u64 sum = parser_.table().version() + deparser_.table().version();
-  for (const Stage& stage : stages_)
-    sum += stage.key_extractor().version() + stage.key_mask().version() +
-           stage.cam().version() + stage.tcam().version() +
-           stage.vliw_version();
+  for (const Stage& stage : stages_) sum += stage.ConfigVersion();
   return sum;
 }
 
-const ModuleExecPlan& Pipeline::ExecPlanFor(ModuleId module) {
+Pipeline::RowProgram& Pipeline::BuildProgram(ModuleId module, u64 stamp) {
   const std::size_t row = parser_.table().IndexFor(module);
-  CachedExecPlan& cached = exec_plans_[row];
-  const u64 stamp = ConfigVersionSum();
-  if (cached.built_at_version != stamp) {
-    cached.plan = CompileModuleExecPlan(parser_.table().At(row),
-                                        deparser_.table().At(row),
-                                        stages_.data(), stages_.size(), row);
-    cached.built_at_version = stamp;
+  std::unique_ptr<RowProgram>& slot = programs_[row];
+  if (slot == nullptr) slot = std::make_unique<RowProgram>();
+  RowProgram& prog = *slot;
+  if (prog.plan_stamp != stamp) {
+    // The plan is a function of the row alone; aliasing module IDs
+    // alternating on one row re-resolve only what follows.
+    prog.plan = CompileModuleExecPlan(parser_.table().At(row),
+                                      deparser_.table().At(row),
+                                      stages_.data(), stages_.size(), row);
+    prog.plan_stamp = stamp;
   }
-  return cached.plan;
+  prog.constant_stages = 0;
+  for (std::size_t s = 0; s < stages_.size(); ++s) {
+    stages_[s].ResolveRun(module, prog.ctx[s]);
+    if (prog.ctx[s].constant) prog.constant_stages |= static_cast<u8>(1u << s);
+    prog.vliw_plans[s] = stages_[s].vliw_plans_data();
+  }
+  prog.kernel = BuildKernelRun(stages_.data(), stages_.size(),
+                               prog.ctx.data(), prog.steps);
+  prog.frow = &flow_cache_.EnsureRow(row, stamp, stages_.data(),
+                                     stages_.size(), prog.plan);
+  prog.hash_seed = FlowVerdictCache::HashSeed(module);
+  prog.forwarded = &forwarded_[module.value()];
+  prog.dropped = &dropped_[module.value()];
+  prog.module = module;
+  prog.stamp = stamp;
+  return prog;
+}
+
+const ModuleExecPlan& Pipeline::ExecPlanFor(ModuleId module) {
+  return ProgramFor(module, ConfigStamp()).plan;
 }
 
 Pipeline::KernelStats Pipeline::KernelSnapshot() const {
@@ -45,9 +64,18 @@ Pipeline::KernelStats Pipeline::KernelSnapshot() const {
   s.pkts = kernel_pkts_.load();
   s.fallback_pkts = kernel_fallback_pkts_.load();
   s.record_fills = kernel_record_fills_.load();
-  for (std::size_t i = 0; i < kKernelShapeCount; ++i)
-    s.shape_pkts[i] = kernel_shape_pkts_[i].load();
   return s;
+}
+
+std::array<u64, kExecTierCount> Pipeline::TierPkts() const {
+  const FlowCacheStats fc = flow_cache_.Snapshot();
+  const u64 fills = kernel_record_fills_.load();
+  std::array<u64, kExecTierCount> t{};
+  t[static_cast<u8>(ExecTier::kFlowCacheHit)] = fc.hits;
+  t[static_cast<u8>(ExecTier::kKernel)] = kernel_pkts_.load() + fills;
+  t[static_cast<u8>(ExecTier::kInterpreted)] =
+      kernel_fallback_pkts_.load() + fc.burst_fallback_pkts - fills;
+  return t;
 }
 
 ModuleExecPlan Pipeline::DescribeRow(ModuleId module) const {
@@ -58,11 +86,12 @@ ModuleExecPlan Pipeline::DescribeRow(ModuleId module) const {
 }
 
 FlowRowState& Pipeline::FlowRowFor(ModuleId module) {
-  const std::size_t row = parser_.table().IndexFor(module);
-  const ModuleExecPlan& plan = ExecPlanFor(module);
-  // ExecPlanFor just stamped this row with the current ConfigVersionSum.
-  return flow_cache_.EnsureRow(row, exec_plans_[row].built_at_version,
-                               stages_.data(), stages_.size(), plan);
+  return *ProgramFor(module, ConfigStamp()).frow;
+}
+
+template <typename PacketT>
+void Pipeline::AssignMulticast(PacketT& pkt, u16 group) const {
+  if (const auto* ports = MulticastGroup(group)) pkt.multicast_ports = *ports;
 }
 
 template <typename PacketT>
@@ -72,9 +101,8 @@ void Pipeline::Emit(PacketT& pkt, const Phv& phv, const DeparsePlan& deparse,
   // deparser): the group table has no version counter, so the flow
   // cache records only the group id.
   const u16 group = phv.meta_u16(meta::kMulticastGroup);
-  if (group != 0) {
-    if (const auto* ports = MulticastGroup(group)) pkt.multicast_ports = *ports;
-  }
+  if (group != 0) [[unlikely]]
+    AssignMulticast(pkt, group);
 
   PlannedDeparseFrom(phv, pkt, deparse);
 
@@ -125,21 +153,17 @@ bool Pipeline::ResolveCached(PacketT& pkt, Phv& phv, FlowRowState& frow,
 
 template <typename PacketT>
 void Pipeline::RunSpanCached(PacketT* const* pkts, const u32* idx,
-                             std::size_t n, const ModuleExecPlan& plan,
-                             FlowRowState& frow, ModuleId module, u64& fwd,
-                             u64& drop) {
-  KernelRun* const kr = BuildKernelRun(stages_.data(), stages_.size(),
-                                       run_ctx_.data(), plan, kernel_run_)
-                            ? &kernel_run_
-                            : nullptr;
-  std::array<const VliwPlan*, params::kNumStages> plans;
-  for (std::size_t s = 0; s < stages_.size(); ++s)
-    plans[s] = stages_[s].vliw_plans_data();
+                             std::size_t n, RowProgram& prog) {
+  const ModuleExecPlan& plan = prog.plan;
+  FlowRowState& frow = *prog.frow;
+  const ModuleId module = prog.module;
+  KernelRun* const kr = prog.kernel ? &prog.steps : nullptr;
   flow_cache_.PrepareRow(frow);
-  const u64 seed = FlowVerdictCache::HashSeed(module);
   const std::size_t slot_mask = frow.slots.size() - 1;
   FlowVerdictCache::RunTally tally;
   u64 hits = 0;
+  u64 fwd = 0;
+  u64 drop = 0;
   // Iteration k resolves packet k - kSlotLookahead from its lane, then
   // refills the lane with packet k: parse, gather and hash the probing
   // stages' key words (constant-key stages keep the word 0 the array
@@ -151,7 +175,7 @@ void Pipeline::RunSpanCached(PacketT* const* pkts, const u32* idx,
       const FlowVerdictCache::Probe probe =
           flow_cache_.Lookup(frow, module, lane.words, lane.hash);
       hits += ResolveCached(pkt, lane.phv, frow, probe, module, lane.words,
-                            kr, plans.data(), tally);
+                            kr, prog.vliw_plans.data(), tally);
       if (tally.lanes == FlowVerdictCache::kTallyChunk)
         FlowVerdictCache::FlushTally(tally, frow, stages_.data(),
                                      stages_.size());
@@ -162,7 +186,7 @@ void Pipeline::RunSpanCached(PacketT* const* pkts, const u32* idx,
     lane.phv.Clear();
     PlannedParseInto(*pkts[idx[k]], lane.phv, plan.parse);
     lane.words = {};
-    u64 h = seed;
+    u64 h = prog.hash_seed;
     for (u8 g = 0; g < plan.gather.count; ++g) {
       const std::size_t s = plan.gather.stages[g];
       lane.words[s] = frow.keys[s].Word(lane.phv);
@@ -179,53 +203,48 @@ void Pipeline::RunSpanCached(PacketT* const* pkts, const u32* idx,
   }
   flow_cache_.NoteRun(n, hits);
   total_processed_ += n;
-}
-
-template <typename PacketT>
-void Pipeline::RunOne(PacketT& pkt, const ModuleExecPlan& plan, u64& fwd,
-                      u64& drop) {
-  ++total_processed_;
-  phv_.Clear();
-  PlannedParseInto(pkt, phv_, plan.parse);
-  for (std::size_t s = 0; s < stages_.size(); ++s)
-    stages_[s].ProcessRun(phv_, run_ctx_[s]);
-  pkt.exec_tier = static_cast<u8>(ExecTier::kInterpreted);
-  pkt.exec_steps = static_cast<u8>(stages_.size());
-  Emit(pkt, phv_, plan.deparse, fwd, drop);
+  *prog.forwarded += fwd;
+  *prog.dropped += drop;
 }
 
 template <typename PacketT>
 void Pipeline::RunSpan(PacketT* const* pkts, const u32* idx, std::size_t n,
-                       const ModuleExecPlan& plan, u64& fwd, u64& drop) {
-  if (!plan.kernel.wide_or_ternary &&
-      BuildKernelRun(stages_.data(), stages_.size(), run_ctx_.data(), plan,
-                     kernel_run_)) {
-    const u8 shape = KernelShapeId(kernel_run_.num_steps, plan.kernel.stateful,
-                                   plan.kernel.multi_slot, false);
-    if (const KernelFn<PacketT> fn = KernelRegistry<PacketT>()[shape]) {
-      KernelCtx<PacketT> ctx;
-      ctx.pkts = pkts;
-      ctx.idx = idx;
-      ctx.n = n;
-      ctx.mcast = &mcast_groups_;
-      ctx.fwd = &fwd;
-      ctx.drop = &drop;
-      ctx.snapshot = &kernel_snapshot_scratch_;
-      ctx.work = &phv_;
-      fn(kernel_run_, ctx);
-      FlushKernelCounters(stages_.data(), kernel_run_);
-      total_processed_ += n;
-      kernel_pkts_.Add(n);
-      kernel_shape_pkts_[shape].Add(n);
-      for (std::size_t k = 0; k < n; ++k) {
-        pkts[idx[k]]->exec_tier = static_cast<u8>(ExecTier::kKernel);
-        pkts[idx[k]]->exec_steps = kernel_run_.num_steps;
-      }
-      return;
+                       RowProgram& prog) {
+  const ModuleExecPlan& plan = prog.plan;
+  u64 fwd = 0;
+  u64 drop = 0;
+  if (prog.kernel) {
+    KernelRun& kr = prog.steps;
+    for (std::size_t k = 0; k < n; ++k) {
+      PacketT& pkt = *pkts[idx[k]];
+      if (k + 4 < n) PrefetchPacket(*pkts[idx[k + 4]]);
+      phv_.Clear();
+      PlannedParseInto(pkt, phv_, plan.parse);
+      RunKernelSteps(kr, phv_, kernel_snapshot_scratch_);
+      pkt.exec_tier = static_cast<u8>(ExecTier::kKernel);
+      pkt.exec_steps = kr.num_steps;
+      Emit(pkt, phv_, plan.deparse, fwd, drop);
     }
+    FlushKernelCounters(stages_.data(), kr);
+    kernel_pkts_.Add(n);
+  } else {
+    // Interpreted plan path (a wide or ternary probe): every stage runs
+    // against its resolved context.
+    for (std::size_t k = 0; k < n; ++k) {
+      PacketT& pkt = *pkts[idx[k]];
+      phv_.Clear();
+      PlannedParseInto(pkt, phv_, plan.parse);
+      for (std::size_t s = 0; s < stages_.size(); ++s)
+        stages_[s].ProcessRun(phv_, prog.ctx[s]);
+      pkt.exec_tier = static_cast<u8>(ExecTier::kInterpreted);
+      pkt.exec_steps = static_cast<u8>(stages_.size());
+      Emit(pkt, phv_, plan.deparse, fwd, drop);
+    }
+    kernel_fallback_pkts_.Add(n);
   }
-  kernel_fallback_pkts_.Add(n);
-  for (std::size_t k = 0; k < n; ++k) RunOne(*pkts[idx[k]], plan, fwd, drop);
+  total_processed_ += n;
+  *prog.forwarded += fwd;
+  *prog.dropped += drop;
 }
 
 void Pipeline::GrowIndexScratch(std::size_t n) {
@@ -241,6 +260,8 @@ void Pipeline::RunBurst(PacketT* const* pkts, std::size_t n) {
   std::size_t count = 0;       // data packets indexed so far
   std::size_t span_start = 0;  // index into idx
   ModuleId span_module(0);
+  // One stamp per burst: no configuration write lands inside a burst.
+  const u64 stamp = ConfigStamp();
   for (std::size_t i = 0; i <= n; ++i) {
     if (i < n) {
       if (i + 4 < n) PrefetchPacket(*pkts[i + 4]);
@@ -275,33 +296,23 @@ void Pipeline::RunBurst(PacketT* const* pkts, std::size_t n) {
       break;  // end of burst, no span left to flush
     }
 
-    const ModuleId module = span_module;
-    const std::size_t a = span_start;
-    const std::size_t b = count;
-
-    const ModuleExecPlan& plan = ExecPlanFor(module);
-    // BeginRun resolves the per-stage contexts AND accounts constant-key
-    // stages for the run — required on the cached path too, which skips
-    // ProcessRun but relies on that accounting.
-    for (std::size_t s = 0; s < stages_.size(); ++s)
-      stages_[s].BeginRun(module, b - a, run_ctx_[s]);
-    // unordered_map references are stable across inserts, so the run's
-    // counter slots are hoisted out of the packet loop.
-    u64& fwd = forwarded_[module.value()];
-    u64& drop = dropped_[module.value()];
-
-    const std::size_t row = parser_.table().IndexFor(module);
-    FlowRowState& frow = flow_cache_.EnsureRow(
-        row, exec_plans_[row].built_at_version, stages_.data(),
-        stages_.size(), plan);
-    if (frow.eligible) {
+    RowProgram& prog = ProgramFor(span_module, stamp);
+    const u32* const span = idx + span_start;
+    const std::size_t len = count - span_start;
+    // Constant-key stages are accounted per run, on every tier (the
+    // cached and compiled paths skip them; ProcessRun only applies them).
+    for (unsigned m = prog.constant_stages; m != 0; m &= m - 1) {
+      const auto s = static_cast<std::size_t>(__builtin_ctz(m));
+      stages_[s].AccountConstantRun(prog.ctx[s], len);
+    }
+    if (prog.frow->eligible) {
       // Provably stateless row: every packet goes through the
       // flow-verdict cache.
-      RunSpanCached(pkts, idx + a, b - a, plan, frow, module, fwd, drop);
+      RunSpanCached(pkts, span, len, prog);
     } else {
-      RunSpan(pkts, idx + a, b - a, plan, fwd, drop);
+      RunSpan(pkts, span, len, prog);
     }
-    span_start = b;
+    span_start = count;
     if (i < n) {
       // The packet that closed the previous span opens the next one.
       span_module = pkts[i]->vid();

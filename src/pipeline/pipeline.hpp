@@ -5,21 +5,36 @@
 // parameters).
 //
 // Packets run through ONE execution ladder — flow-verdict cache ->
-// specialized kernel -> interpreted plan — instantiated for both packet
+// compiled steps -> interpreted plan — instantiated for both packet
 // types.  ProcessStreamBurst runs a burst of packet pointers (Packet or
 // ArenaPacket) in place; it is what the dataplane's shard executor calls
 // for ticket slices and streaming bursts alike.  Process and
 // ProcessBatchInto run owned Packets through the same burst loop and
 // return PipelineResults.  ProcessUnplanned is the one semantic
 // reference every ladder tier is pinned against.
+//
+// As in Menshen's overlay tables, a module's configuration is compiled
+// once and every packet then reads the result: each overlay row keeps a
+// *row program* — the compiled execution plan, the per-stage run
+// contexts, the compiled steps with their memos, the row's flow-cache
+// state and the module's counters — built at one config stamp and
+// rebuilt only when the stamp or the row's module ID moves.  The stamp
+// sums every configuration version counter (parser/deparser tables and
+// each stage's Stage::ConfigVersion); every configuration path bumps one,
+// so epoch commits, direct table writes and ResizeShards config-log
+// replay all invalidate coherently.  A module run then costs one stamp
+// compare plus the per-run accounting of its constant-key stages.
 #pragma once
 
 #include <array>
+#include <memory>
 #include <optional>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
 #include "common/counters.hpp"
+#include "common/exec_tier.hpp"
 #include "packet/packet.hpp"
 #include "phv/phv.hpp"
 #include "pipeline/config_write.hpp"
@@ -97,17 +112,16 @@ class Pipeline {
   void ProcessStreamBurst(ArenaPacket* const* pkts, std::size_t n);
   void ProcessStreamBurst(Packet* const* pkts, std::size_t n);
 
-  /// The compiled execution plan for `module`'s overlay row, rebuilt
-  /// when any of the configuration version counters it derives from
-  /// (parser/deparser tables, key extractors/masks, CAM/TCAM entries,
-  /// VLIW tables) has moved — every configuration path bumps one, so
-  /// epoch commits, overlay rewrites and ResizeShards config-log replay
-  /// all invalidate coherently.  Exposed for tests and benchmarks.
+  Pipeline(const Pipeline&) = delete;
+  Pipeline& operator=(const Pipeline&) = delete;
+
+  /// The compiled execution plan of `module`'s row program, rebuilt when
+  /// the config stamp has moved.  Exposed for tests and benchmarks.
   [[nodiscard]] const ModuleExecPlan& ExecPlanFor(ModuleId module);
 
-  /// The flow-verdict cache state for `module`'s overlay row, refreshed
-  /// to the current configuration (same stamp discipline as ExecPlanFor).
-  /// Exposed for tests; the ladder refreshes rows itself.
+  /// The flow-verdict cache state of `module`'s row program, refreshed
+  /// to the current config stamp.  Exposed for tests; the ladder
+  /// refreshes rows itself.
   [[nodiscard]] FlowRowState& FlowRowFor(ModuleId module);
 
   /// Per-shard flow-verdict cache (pipeline/flow_cache.hpp).  Mutable
@@ -124,14 +138,21 @@ class Pipeline {
     u64 pkts = 0;           // packets executed by a specialized kernel
     u64 fallback_pkts = 0;  // packets interpreted (wide/ternary rows)
     u64 record_fills = 0;   // flow-cache misses resolved by kernel steps
-    std::array<u64, kKernelShapeCount> shape_pkts{};  // pkts per shape id
   };
   [[nodiscard]] KernelStats KernelSnapshot() const;
 
+  /// Cumulative packets each ladder tier resolved, indexed by ExecTier
+  /// and derived from the flow-cache and kernel counters: flow-cache
+  /// hits; compiled-step runs plus the misses their steps filled;
+  /// interpreted runs plus the misses BuildVerdict filled.  kNone and
+  /// kUnplanned read 0.  The dataplane's per-shard tier counts are this
+  /// array's delta across a burst.
+  [[nodiscard]] std::array<u64, kExecTierCount> TierPkts() const;
+
   /// Compiles (without caching) the execution plan for `module`'s
   /// overlay row — a const observability hook: stats dumps read the
-  /// flow-cache blocker and kernel shape of every active tenant without
-  /// touching the plan cache.
+  /// flow-cache blocker and tier of every active tenant without touching
+  /// the row programs.
   [[nodiscard]] ModuleExecPlan DescribeRow(ModuleId module) const;
 
   /// Applies one configuration write (arriving via the daisy chain or
@@ -168,48 +189,75 @@ class Pipeline {
   [[nodiscard]] std::vector<ModuleId> ActiveModules() const;
 
  private:
-  /// Sum of every configuration version counter an execution plan
-  /// derives from — monotonic, so a stale plan can never alias a
-  /// current stamp.
-  [[nodiscard]] u64 ConfigVersionSum() const;
+  /// One overlay row's program: everything a module run of the row
+  /// reads, built from the configuration at `stamp` for `module` and
+  /// kept until either moves.  Every pointer targets this pipeline's
+  /// heap-held tables, which is why a Pipeline is not copyable.
+  struct RowProgram {
+    u64 plan_stamp = ~u64{0};  // stamp `plan` was compiled at
+    u64 stamp = ~u64{0};       // stamp the rest was resolved at
+    ModuleId module{0};
+    ModuleExecPlan plan;
+    std::array<Stage::ModuleRunContext, params::kNumStages> ctx{};
+    u8 constant_stages = 0;  // bit s: stage s has an all-zero key mask
+    bool kernel = false;     // `steps` compiled (no wide/ternary probe)
+    KernelRun steps;
+    std::array<const VliwPlan*, params::kNumStages> vliw_plans{};
+    u64 hash_seed = 0;  // FlowVerdictCache::HashSeed(module)
+    FlowRowState* frow = nullptr;
+    u64* forwarded = nullptr;  // this module's forwarded_/dropped_ slots
+    u64* dropped = nullptr;
+  };
+
+  /// The config stamp: the sum of every configuration version counter a
+  /// row program derives from — monotonic, so a stale program can never
+  /// alias a current stamp.
+  [[nodiscard]] u64 ConfigStamp() const;
+  /// `module`'s row program at config stamp `stamp`, built if missing
+  /// or stale.
+  RowProgram& ProgramFor(ModuleId module, u64 stamp) {
+    RowProgram* const prog =
+        programs_[module.value() % params::kOverlayTableDepth].get();
+    if (prog == nullptr || prog->stamp != stamp || prog->module != module)
+        [[unlikely]]
+      return BuildProgram(module, stamp);
+    return *prog;
+  }
+  [[gnu::noinline]] RowProgram& BuildProgram(ModuleId module, u64 stamp);
   /// The execution ladder, instantiated for Packet and ArenaPacket.  One
   /// fused pass classifies packets in arrival order (the filter's
   /// round-robin buffer-tag cursor and drop counters advance per packet;
   /// non-data packets finish outright and never break a run) and
   /// executes each module run the moment the tenant changes, while its
   /// packets are still cache-hot.  Eligible runs go through the
-  /// flow-verdict cache, the rest through the kernel for
-  /// the run's shape or the interpreted plan.  Writes every packet's
-  /// bytes and verdict / disposition / tier sidebands in place.
+  /// flow-verdict cache, the rest through the row's compiled steps or
+  /// the interpreted plan.  Writes every packet's bytes and verdict /
+  /// disposition / tier sidebands in place.
   template <typename PacketT>
   void RunBurst(PacketT* const* pkts, std::size_t n);
   /// Grows the data-packet index scratch to `n` entries (out of line, so
   /// RunBurst keeps no allocation path).
   [[gnu::noinline]] void GrowIndexScratch(std::size_t n);
-  /// Executes one module run (`pkts[idx[0..n)]`) through the specialized
-  /// kernel selected for the run's shape, or through the interpreted
-  /// RunOne loop when the shape has no registered kernel (wide/ternary).
-  /// BeginRun must already have resolved the run contexts.
+  /// Executes one module run (`pkts[idx[0..n)]`) through the row's
+  /// compiled steps — one loop, parse, steps, deparse per packet — or,
+  /// for a row with a wide/ternary probe, through the interpreted plan
+  /// (Stage::ProcessRun per stage).
   template <typename PacketT>
   void RunSpan(PacketT* const* pkts, const u32* idx, std::size_t n,
-               const ModuleExecPlan& plan, u64& fwd, u64& drop);
-  /// Interpreted plan path for one packet: parse, ProcessRun per stage.
-  template <typename PacketT>
-  void RunOne(PacketT& pkt, const ModuleExecPlan& plan, u64& fwd, u64& drop);
+               RowProgram& prog);
   /// Flow-cache path for an eligible run: one in-order pass per packet —
   /// probe the row's slot (counting the probe in its admission sketch),
   /// then ResolveCached.  Each packet was parsed, and its probing stages'
   /// key words gathered and hashed, kSlotLookahead packets earlier, when
-  /// its slot line was prefetched.  Misses run the run's compiled kernel
-  /// steps (BuildKernelRun once per run, one FlushKernelCounters at its
-  /// end); ternary-probing rows, which have no kernel, fill through
-  /// BuildVerdict.  Packets resolve in arrival order, so a burst behaves
-  /// exactly like the same packets probed one at a time.
+  /// its slot line was prefetched.  Misses run the row's compiled steps
+  /// (one FlushKernelCounters at the run's end); ternary-probing rows,
+  /// which have no steps, fill through BuildVerdict.  Packets resolve in
+  /// arrival order, so a burst behaves exactly like the same packets
+  /// probed one at a time.
   template <typename PacketT>
   void RunSpanCached(PacketT* const* pkts, const u32* idx, std::size_t n,
-                     const ModuleExecPlan& plan, FlowRowState& frow,
-                     ModuleId module, u64& fwd, u64& drop);
-  /// Resolves one probed packet: replay on a hit; on a miss, the kernel
+                     RowProgram& prog);
+  /// Resolves one probed packet: replay on a hit; on a miss, the row's
   /// steps (`kr`) or BuildVerdict (`kr == nullptr`), then the admission
   /// decision, which records the verdict into the probed slot or
   /// nothing.  Hit and BuildVerdict lanes join `tally`.  Returns whether
@@ -221,10 +269,15 @@ class Pipeline {
                      KernelRun* kr, const VliwPlan* const* plans,
                      FlowVerdictCache::RunTally& tally);
   /// Shared tail of every tier: multicast resolution, planned deparse,
-  /// forwarded/dropped accounting.
+  /// forwarded/dropped accounting.  Inlined into each tier's packet loop
+  /// (the counters stay in registers); the port-list copy stays out of
+  /// line.
   template <typename PacketT>
-  void Emit(PacketT& pkt, const Phv& phv, const DeparsePlan& deparse,
-            u64& fwd, u64& drop);
+  [[gnu::always_inline]] inline void Emit(PacketT& pkt, const Phv& phv,
+                                          const DeparsePlan& deparse,
+                                          u64& fwd, u64& drop);
+  template <typename PacketT>
+  [[gnu::noinline]] void AssignMulticast(PacketT& pkt, u16 group) const;
 
   PipelineTiming timing_;
   PacketFilter filter_;
@@ -237,31 +290,22 @@ class Pipeline {
   u64 total_processed_ = 0;
   u64 config_writes_ = 0;
 
-  /// Execution-plan cache, one slot per overlay row, stamped with
-  /// ConfigVersionSum() at build time.
-  struct CachedExecPlan {
-    u64 built_at_version = ~u64{0};
-    ModuleExecPlan plan;
-  };
-  std::vector<CachedExecPlan> exec_plans_ =
-      std::vector<CachedExecPlan>(params::kOverlayTableDepth);
+  /// One program per overlay row, allocated on the row's first run
+  /// (about 1.3 KB each).
+  std::vector<std::unique_ptr<RowProgram>> programs_ =
+      std::vector<std::unique_ptr<RowProgram>>(params::kOverlayTableDepth);
 
-  /// Flow-verdict memoization (stamped like exec_plans_): end-to-end
+  /// Flow-verdict memoization (stamped like the row programs): end-to-end
   /// results for rows whose reachable actions are provably stateless.
   FlowVerdictCache flow_cache_;
 
-  // Ladder scratch (RunBurst): per-stage run contexts, the data-packet
-  // index list, and ProcessBatchInto's pointer array over the batch.
-  // Never part of observable state.
-  std::vector<Stage::ModuleRunContext> run_ctx_ =
-      std::vector<Stage::ModuleRunContext>(params::kNumStages);
+  // Ladder scratch (RunBurst): the data-packet index list and
+  // ProcessBatchInto's pointer array over the batch.  Never part of
+  // observable state.
   std::vector<u32> data_idx_scratch_;
   std::vector<Packet*> batch_ptrs_;
 
-  // Kernel dispatch (pipeline/kernels.hpp): the per-run step list and
-  // the multi-slot snapshot scratch are reused across runs; per-shape
-  // packet counters feed ShardStats/DumpDataplaneStats.
-  KernelRun kernel_run_;
+  // Multi-slot VLIW snapshot scratch of the compiled steps.
   Phv kernel_snapshot_scratch_;
   // Per-packet scratch PHV of the kernel and interpreted tiers:
   // Clear()ed and reused per packet — the ladder never emits a PHV.
@@ -283,7 +327,10 @@ class Pipeline {
   RelaxedCounter kernel_pkts_;
   RelaxedCounter kernel_fallback_pkts_;
   RelaxedCounter kernel_record_fills_;
-  std::array<RelaxedCounter, kKernelShapeCount> kernel_shape_pkts_;
 };
+
+static_assert(!std::is_copy_constructible_v<Pipeline> &&
+                  !std::is_copy_assignable_v<Pipeline>,
+              "row programs point into their own pipeline's tables");
 
 }  // namespace menshen

@@ -80,8 +80,7 @@ void Stage::MaskedKeyInto(const Phv& phv, BitVec& key) {
                     key_mask_.Lookup(phv.module_id), phv, key);
 }
 
-void Stage::BeginRun(ModuleId module, std::size_t run_len,
-                     ModuleRunContext& ctx) {
+void Stage::ResolveRun(ModuleId module, ModuleRunContext& ctx) {
   ctx.kx = &key_extractor_.Lookup(module);
   ctx.mask = &key_mask_.Lookup(module);
   ctx.plan = &PlanFor(key_extractor_.IndexFor(module));
@@ -89,6 +88,9 @@ void Stage::BeginRun(ModuleId module, std::size_t run_len,
   ctx.constant = ctx.plan->skip_extraction;
   ctx.constant_hit = false;
   ctx.constant_vliw_plan = nullptr;
+  ctx.constant_scanned = 0;
+  ctx.word_index = nullptr;
+  ctx.key_index = nullptr;
   if (!ctx.constant) {
     if (!ctx.kx->ternary) {
       if (ctx.plan->one_word)
@@ -100,35 +102,26 @@ void Stage::BeginRun(ModuleId module, std::size_t run_len,
   }
 
   // All-zero mask: the masked key — predicate bit included — is zero for
-  // every packet of the run, so the lookup result is fixed.  Probe once
-  // (counting normally), then advance the counters for the rest of the
-  // run so they match per-packet probing exactly.
+  // every packet, so the lookup result is fixed.  Probe once, quietly;
+  // AccountConstantRun counts it per run.
   std::optional<std::size_t> address;
-  const u64 extra = run_len > 0 ? run_len - 1 : 0;
   if (ctx.kx->ternary) {
-    const u64 scanned_before = tcam_.entries_scanned();
     key_scratch_.AssignZero(params::kKeyBits);
-    address = tcam_.Lookup(key_scratch_, module);
-    tcam_.NoteConstantLookups(extra, address.has_value(),
-                              tcam_.entries_scanned() - scanned_before);
-  } else {
+    address = tcam_.LookupQuiet(key_scratch_, module, ctx.constant_scanned);
+  } else if (const auto* index = cam_.WordIndexFor(module)) {
     // A zero key trivially fits one word: word-index probe.
-    address = cam_.LookupWord(0, module);
-    cam_.NoteConstantLookups(extra, address.has_value());
+    address = index->Find(0);
   }
   if (address) {
     ctx.constant_hit = true;
     ctx.constant_vliw_plan = &vliw_plans_[*address];
-    hits_ += run_len;
-  } else {
-    misses_ += run_len;
   }
 }
 
 void Stage::ProcessRun(Phv& phv, const ModuleRunContext& ctx) {
   if (ctx.constant) {
-    // Lookup resolved (and counted) by BeginRun; only the action runs
-    // per packet.
+    // Lookup resolved by ResolveRun and counted by AccountConstantRun;
+    // only the action runs per packet.
     if (ctx.constant_hit)
       ActionEngine::ExecuteCompiled(*ctx.constant_vliw_plan, phv,
                                     snapshot_scratch_, ctx.segment);

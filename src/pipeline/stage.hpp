@@ -8,15 +8,16 @@
 // action engine executes the instruction, possibly touching this stage's
 // stateful memory through the segment table.
 //
-// The batched hot path amortizes the per-packet configuration reads over
-// a *module run* — a span of consecutive same-tenant packets: BeginRun
-// resolves the overlay-table Lookup pair, the key-layout plan and the
-// stateful-segment base once, and ProcessRun then executes each packet
-// against the resolved ModuleRunContext.  A module whose key mask is all
-// zero probes the same (all-zero) key every packet, so its lookup result
-// is resolved once per run too and the per-packet work collapses to the
-// action execution (or to nothing on a constant miss) — counters advance
-// exactly as if each packet had probed.
+// The batched hot path reads a module's configuration once per
+// configuration, not once per packet: ResolveRun resolves the
+// overlay-table Lookup pair, the key-layout plan and the stateful-segment
+// base into a ModuleRunContext, which the pipeline keeps in the row's
+// program until its config stamp moves, and ProcessRun then executes each
+// packet against it.  A module whose key mask is all zero probes the same
+// (all-zero) key every packet, so ResolveRun resolves its lookup result
+// quietly too and the per-packet work collapses to the action execution
+// (or to nothing on a constant miss); AccountConstantRun then advances the
+// counters once per module run, exactly as if each packet had probed.
 #pragma once
 
 #include <optional>
@@ -76,9 +77,15 @@ class Stage {
   [[nodiscard]] const VliwPlan* vliw_plans_data() const {
     return vliw_plans_.data();
   }
-  /// Bumped on every WriteVliw — part of the configuration version the
-  /// pipeline's execution-plan cache stamps plans with.
-  [[nodiscard]] u64 vliw_version() const { return vliw_version_; }
+  /// Sum of every version counter of this stage's configuration (key
+  /// extractor, key mask, CAM, TCAM, VLIW table, segment table) — the
+  /// stage's share of the pipeline's config stamp.  Monotonic: every
+  /// write bumps exactly one of them.
+  [[nodiscard]] u64 ConfigVersion() const {
+    return key_extractor_.version() + key_mask_.version() + cam_.version() +
+           tcam_.version() + vliw_version_ +
+           stateful_.segment_table().version();
+  }
 
   /// The key the stage would look up for this PHV, after masking — exposed
   /// for tests and the compiler's entry generation.
@@ -130,12 +137,13 @@ class Stage {
   };
 
  public:
-  /// One module run's resolved per-stage state: the overlay entries, the
-  /// key-layout plan and the stateful segment, read once per run instead
-  /// of once per packet.  Valid until the next configuration write or
-  /// the end of the batch, whichever comes first (the dataplane quiesces
-  /// traffic around configuration changes, so a context never spans
-  /// one).  Opaque outside Stage.
+  /// One module's resolved per-stage state: the overlay entries, the
+  /// key-layout plan and the stateful segment, read once per
+  /// configuration instead of once per packet.  Valid until the next
+  /// configuration write: the pipeline keeps it in the row's program,
+  /// stamped with the config stamp it was resolved at, and re-resolves
+  /// when the stamp moves (the dataplane quiesces traffic around
+  /// configuration changes, so no run sees one).
   struct ModuleRunContext {
     const KeyExtractorEntry* kx = nullptr;
     const KeyMaskEntry* mask = nullptr;
@@ -146,21 +154,39 @@ class Stage {
     ExactMatchCam::WordIndexHandle word_index = nullptr;
     ExactMatchCam::KeyIndexHandle key_index = nullptr;
     // All-zero-mask modules probe a constant (all-zero) key: the lookup
-    // result is resolved once per run.
+    // result, and on a ternary stage the entries one lookup examines,
+    // are resolved once per configuration.
     bool constant = false;
     bool constant_hit = false;
     const VliwPlan* constant_vliw_plan = nullptr;
+    u64 constant_scanned = 0;
   };
 
-  /// Resolves `ctx` for a run of `run_len` consecutive packets of
-  /// `module`.  For constant-key modules the lookup happens here — once
-  /// — and every CAM/stage counter is advanced by the full run length,
-  /// exactly matching what per-packet probing would have recorded.
-  void BeginRun(ModuleId module, std::size_t run_len, ModuleRunContext& ctx);
+  /// Resolves `ctx` for `module` under the current configuration,
+  /// quietly: no counter moves.  For constant-key modules the lookup
+  /// happens here; AccountConstantRun accounts it per run.
+  void ResolveRun(ModuleId module, ModuleRunContext& ctx);
 
-  /// Processes one packet of the run `ctx` was resolved for.  Performs
-  /// no overlay-table or segment-table reads.  Byte-identical to
-  /// ProcessInPlace (pinned by the execution-plan differential suite).
+  /// Per-run accounting of a constant-key context: advances the CAM or
+  /// TCAM lookup, hit and scan counters and this stage's hit/miss
+  /// counters by `run_len` probes of the all-zero key, exactly what
+  /// per-packet probing would have recorded.
+  void AccountConstantRun(const ModuleRunContext& ctx, u64 run_len) {
+    if (ctx.kx->ternary)
+      tcam_.NoteConstantLookups(run_len, ctx.constant_hit,
+                                ctx.constant_scanned);
+    else
+      cam_.NoteConstantLookups(run_len, ctx.constant_hit);
+    if (ctx.constant_hit)
+      hits_ += run_len;
+    else
+      misses_ += run_len;
+  }
+
+  /// Processes one packet of a run against `ctx`.  Performs no
+  /// overlay-table or segment-table reads; constant-key stages are
+  /// accounted by AccountConstantRun.  Byte-identical to ProcessInPlace
+  /// (pinned by the execution-plan differential suite).
   void ProcessRun(Phv& phv, const ModuleRunContext& ctx);
 
  private:
@@ -184,7 +210,7 @@ class Stage {
   StatefulMemory stateful_;
   u64 hits_ = 0;
   u64 misses_ = 0;
-  u64 vliw_version_ = 0;
+  u64 vliw_version_ = 0;  // bumped on every WriteVliw
   // Scratch buffers reused across packets by ProcessInPlace (never part
   // of the stage's observable configuration state).
   BitVec key_scratch_;

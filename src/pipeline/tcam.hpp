@@ -71,8 +71,8 @@ class TernaryCam {
     return entries_scanned_.load();
   }
 
-  /// Accounts `n` additional lookups whose result a run context resolved
-  /// once (an all-zero-mask module probes the same key every packet),
+  /// Accounts `n` lookups whose result a run context resolved once,
+  /// quietly (an all-zero-mask module probes the same key every packet),
   /// with `scanned_per_op` entries examined per probe: the counters
   /// advance exactly as if each packet had probed.
   void NoteConstantLookups(u64 n, bool hit, u64 scanned_per_op) const {

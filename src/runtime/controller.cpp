@@ -114,7 +114,9 @@ Controller::TickReport Controller::TickOnce() {
   u64 busy_max = 0;
   u64 busy_sum = 0;
   for (std::size_t s = 0; s < shard_counters.size(); ++s) {
-    const u64 busy = shard_counters[s].busy_ns;
+    const u64 busy = cfg_.shard_busy_ns
+                         ? cfg_.shard_busy_ns(shard_counters[s])
+                         : shard_counters[s].busy_ns;
     const u64 delta = busy - std::min(busy, last_busy_ns_[s]);
     last_busy_ns_[s] = busy;
     stalls_total += shard_counters[s].producer_stalls;

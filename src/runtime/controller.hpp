@@ -90,6 +90,12 @@ struct ControllerConfig {
   /// time per shard, read through the relaxed stats — never a quiesce).
   /// Unset: no logging.  Wire to a logger or test capture as needed.
   std::function<void(const std::string&)> log_sink;
+
+  /// Optional source of a shard's cumulative busy nanoseconds, the input
+  /// of the tick's busy-time deltas and skew.  Unset reads the worker's
+  /// wall-clock ShardCounters::busy_ns; a deterministic cost model can
+  /// stand in for it (tests pin the skew response this way).
+  std::function<u64(const Dataplane::ShardCounters&)> shard_busy_ns;
 };
 
 class Controller {

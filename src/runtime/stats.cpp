@@ -113,20 +113,18 @@ void FillShardRows(const std::vector<Dataplane::ShardCounters>& counters,
     row.egress_depth = c.egress_depth;
     row.producer_stalls = c.producer_stalls;
     s.shards.push_back(row);
-    for (std::size_t sh = 0; sh < kKernelShapeCount; ++sh)
-      s.kernel_shape_pkts[sh] += c.kernel_shape_pkts[sh];
   }
 }
 
 /// Stamps each tenant row with its row's execution-ladder facts
-/// (flow-cache blocker, kernel shape at the potential step count).
+/// (flow-cache blocker, top tier).
 void DescribeTenantRows(const Dataplane& dp, DataplaneStats& s) {
   for (TenantStats& t : s.tenants) {
     const ModuleExecPlan plan = dp.DescribeTenantRow(t.tenant);
     t.flow_blocker = plan.flow_blocker;
-    t.kernel_shape = KernelShapeId(
-        plan.kernel.potential_steps, plan.kernel.stateful,
-        plan.kernel.multi_slot, plan.kernel.wide_or_ternary);
+    t.tier = plan.flow_cacheable()           ? ExecTier::kFlowCacheHit
+             : plan.kernel.wide_or_ternary ? ExecTier::kInterpreted
+                                           : ExecTier::kKernel;
     t.p99_ns = dp.telemetry().TenantP99(t.tenant.value());
   }
 }
@@ -269,15 +267,6 @@ std::string DumpDataplaneStats(const Dataplane& dp) {
                std::to_string(st.trace_drops) + " dropped\n";
     }
   }
-  {
-    // Kernel-shape packet distribution, aggregated across shards.
-    std::string shapes;
-    for (std::size_t id = 0; id < kKernelShapeCount; ++id)
-      if (s.kernel_shape_pkts[id] != 0)
-        shapes += std::string("  ") + KernelShapeName(static_cast<u8>(id)) +
-                  "=" + std::to_string(s.kernel_shape_pkts[id]);
-    if (!shapes.empty()) out += "  kernel shapes:" + shapes + "\n";
-  }
   // Per-module flow-cache blocker histogram: how many tenants sit at
   // each rung of the execution ladder, and why the cache is blocked for
   // the ones it is.
@@ -296,8 +285,8 @@ std::string DumpDataplaneStats(const Dataplane& dp) {
     out += "  tenant " + std::to_string(t.tenant.value()) + " @ shard " +
            std::to_string(t.shard) + ": fwd " + std::to_string(t.forwarded) +
            ", drop " + std::to_string(t.dropped) + " [blocker " +
-           FlowCacheBlockerName(t.flow_blocker) + ", shape " +
-           KernelShapeName(t.kernel_shape) + "]";
+           FlowCacheBlockerName(t.flow_blocker) + ", tier " +
+           ExecTierName(static_cast<u8>(t.tier)) + "]";
     if (t.p99_ns != 0) out += ", p99 " + std::to_string(t.p99_ns) + " ns";
     out += "\n";
   }

@@ -7,10 +7,10 @@
 // command would print.
 #pragma once
 
-#include <array>
 #include <string>
 #include <vector>
 
+#include "common/exec_tier.hpp"
 #include "compiler/allocation.hpp"
 #include "dataplane/dataplane.hpp"
 #include "pipeline/pipeline.hpp"
@@ -95,17 +95,18 @@ struct ShardStats {
 
 /// One tenant's totals plus the shard its traffic is steered to, and
 /// the execution-ladder facts of its compiled row: why (if at all) the
-/// flow-verdict cache is blocked for it, and which kernel shape its
-/// module runs dispatch to.
+/// flow-verdict cache is blocked for it, and which tier its module runs
+/// take.
 struct TenantStats {
   ModuleId tenant;
   std::size_t shard = 0;
   u64 forwarded = 0;
   u64 dropped = 0;
   FlowCacheBlocker flow_blocker = FlowCacheBlocker::kNone;
-  /// Shape id (pipeline/kernels KernelShapeId) of the tenant's row at
-  /// its potential step count — the shape a full-length run presents.
-  u8 kernel_shape = 0;
+  /// The top tier of the tenant's row: the flow cache for a cacheable
+  /// row (its misses run the compiled steps), the compiled steps, or the
+  /// interpreted plan for a row with a wide or ternary probe.
+  ExecTier tier = ExecTier::kNone;
   /// p99 packet latency (ns) from the telemetry histograms, merged
   /// across shards and both paths; 0 when the tenant has no samples
   /// (or histograms are disabled).  The adversarial-isolation suite's
@@ -143,9 +144,6 @@ struct DataplaneStats {
   std::vector<TenantStats> tenants;  // sorted by tenant ID
   /// Per-stage match-path counters, aggregated across shards.
   std::vector<StageMatchStats> match_stages;
-  /// Kernel-shape packet distribution aggregated across shard replicas
-  /// (index = shape id; see pipeline/kernels KernelShapeName).
-  std::array<u64, kKernelShapeCount> kernel_shape_pkts{};
   u64 total_packets = 0;
   u64 writes_broadcast = 0;
   /// Committed configuration epoch (bumped by Dataplane::CommitEpoch).

@@ -4,8 +4,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "pipeline/kernels.hpp"
-
 namespace menshen {
 namespace {
 
@@ -166,13 +164,7 @@ std::vector<MetricSample> BuildMetricSamples(const DataplaneStats& s,
                  {{"tenant", Idx(t.tenant)}}, t.hist);
   }
 
-  // --- kernel shapes and match stages -------------------------------------
-  for (std::size_t id = 0; id < s.kernel_shape_pkts.size(); ++id) {
-    if (s.kernel_shape_pkts[id] == 0) continue;
-    b.Add("menshen_kernel_shape_pkts_total",
-          {{"shape", KernelShapeName(static_cast<u8>(id))}},
-          static_cast<double>(s.kernel_shape_pkts[id]));
-  }
+  // --- match stages --------------------------------------------------------
   for (const StageMatchStats& ms : s.match_stages) {
     const std::vector<std::pair<std::string, std::string>> l = {
         {"stage", Idx(ms.stage)}};

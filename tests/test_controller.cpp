@@ -358,6 +358,12 @@ TEST(Controller, HotShardSkewTriggersAggressiveRebalanceRamp) {
 
   ControllerConfig cfg;
   cfg.enable_scaling = false;
+  // Busy time from a fixed cost per packet instead of the wall clock: the
+  // skew then depends on where the packets ran, not on how fast the host
+  // happened to run each shard's slices.
+  cfg.shard_busy_ns = [](const Dataplane::ShardCounters& c) {
+    return c.packets * 100;
+  };
   Controller controller(dp, cfg);
 
   // Every tenant's traffic runs on shard 0: the hot-spot shape the

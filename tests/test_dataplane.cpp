@@ -313,11 +313,15 @@ TEST(Dataplane, StatsAggregatePerShardAndPerTenant) {
   for (const TenantStats& t : stats.tenants) {
     EXPECT_EQ(t.shard, dp.ShardFor(t.tenant));
     EXPECT_EQ(t.forwarded, dp.forwarded(t.tenant));
+    // CALC and NetChain rows are not flow-cacheable and probe one-word
+    // keys: their runs take the compiled steps.
+    EXPECT_EQ(t.tier, ExecTier::kKernel);
   }
 
   const std::string dump = DumpDataplaneStats(dp);
   EXPECT_NE(dump.find("3 shard(s)"), std::string::npos);
   EXPECT_NE(dump.find("tenant 2"), std::string::npos);
+  EXPECT_NE(dump.find("tier kernel]"), std::string::npos);
 
   // Per-stage match-path counters: every forwarded calc packet probed
   // stage 0's exact-match CAM on some replica, and the hit ratio is a

@@ -341,21 +341,19 @@ TEST(ExecPlanFlowCache, BlockerNamesAreStable) {
                "predicate-written");
 }
 
-// --- Kernel-shape classification (ModuleExecPlan::KernelShape) ----------------
+// --- Kernel-tier classification (ModuleExecPlan::KernelShape) ----------------
 //
-// The specialized straight-line kernels (pipeline/kernels) are selected
-// from the plan-level shape bits; a misclassified row either routes a
-// kernel-incompatible configuration into a kernel (wrong output) or
-// needlessly falls back to the interpreter (perf).  These units pin each
-// classification rule against hand-built rows.
+// A row compiles to steps (pipeline/kernels) unless some probing stage is
+// wide or ternary; a misclassified row either routes a step-incompatible
+// configuration into the step loop (wrong output) or needlessly falls
+// back to the interpreter (perf).  Stateful and multi-slot rows compile
+// to steps like any other.  These units pin the rule against hand-built
+// rows.
 
 TEST(ExecPlanKernelShape, EmptyRowHasZeroStepNoFlagShape) {
   Pipeline pipe;
   const ModuleExecPlan& plan = pipe.ExecPlanFor(ModuleId(9));
   EXPECT_FALSE(plan.kernel.wide_or_ternary);
-  EXPECT_FALSE(plan.kernel.stateful);
-  EXPECT_FALSE(plan.kernel.multi_slot);
-  EXPECT_EQ(plan.kernel.potential_steps, 0);
 }
 
 TEST(ExecPlanKernelShape, TernaryExtractorWithNonzeroMaskIsWide) {
@@ -373,8 +371,8 @@ TEST(ExecPlanKernelShape, TernaryExtractorWithNonzeroMaskIsWide) {
 
 TEST(ExecPlanKernelShape, ZeroMaskTernaryStaysKernelShaped) {
   // An all-zero-mask ternary stage resolves as a constant lookup in
-  // Stage::BeginRun — nothing for the kernel to probe, so the row keeps
-  // a straight-line shape.
+  // Stage::ResolveRun — nothing for the steps to probe, so the row stays
+  // on the step loop.
   Pipeline pipe;
   const std::size_t row = 9;
   KeyExtractorEntry kx;
@@ -382,7 +380,6 @@ TEST(ExecPlanKernelShape, ZeroMaskTernaryStaysKernelShaped) {
   pipe.stage(0).key_extractor().Write(row, kx);
   const ModuleExecPlan& plan = pipe.ExecPlanFor(ModuleId(row));
   EXPECT_FALSE(plan.kernel.wide_or_ternary);
-  EXPECT_EQ(plan.kernel.potential_steps, 0);
 }
 
 TEST(ExecPlanKernelShape, MaskBitsAboveWordZeroAreWide) {
@@ -395,8 +392,6 @@ TEST(ExecPlanKernelShape, MaskBitsAboveWordZeroAreWide) {
   pipe.stage(1).key_mask().Write(row, mask);
   const ModuleExecPlan& plan = pipe.ExecPlanFor(ModuleId(row));
   EXPECT_TRUE(plan.kernel.wide_or_ternary);
-  // The probing stage still counts toward the step bound.
-  EXPECT_EQ(plan.kernel.potential_steps, 1);
 }
 
 TEST(ExecPlanKernelShape, ReachableStatefulOpSetsStateful) {
@@ -408,14 +403,12 @@ TEST(ExecPlanKernelShape, ReachableStatefulOpSetsStateful) {
   v.slots[2] = AluAction{AluOp::kLoad, 0, 0, 0};
   pipe.stage(0).WriteVliw(3, v);
   const ModuleExecPlan& plan = pipe.ExecPlanFor(ModuleId(row));
-  EXPECT_TRUE(plan.kernel.stateful);
   EXPECT_FALSE(plan.kernel.wide_or_ternary);
 }
 
 TEST(ExecPlanKernelShape, UnreachableStatefulOpDoesNotSetStateful) {
-  // Same per-address reachability rule as the flow-cache scan: a
-  // stateful action at an address no entry of this row points to must
-  // not push the row into the stateful kernel class.
+  // A stateful action at an address no entry of this row points to
+  // leaves the row on the step loop.
   Pipeline pipe;
   const std::size_t row = 9;
   flowcache::WriteOneWordKey(pipe, row);
@@ -423,7 +416,7 @@ TEST(ExecPlanKernelShape, UnreachableStatefulOpDoesNotSetStateful) {
   VliwEntry v;
   v.slots[2] = AluAction{AluOp::kLoad, 0, 0, 0};
   pipe.stage(0).WriteVliw(7, v);  // address 7: not reachable
-  EXPECT_FALSE(pipe.ExecPlanFor(ModuleId(row)).kernel.stateful);
+  EXPECT_FALSE(pipe.ExecPlanFor(ModuleId(row)).kernel.wide_or_ternary);
 }
 
 TEST(ExecPlanKernelShape, MultiActiveSlotVliwSetsMultiSlot) {
@@ -435,7 +428,7 @@ TEST(ExecPlanKernelShape, MultiActiveSlotVliwSetsMultiSlot) {
   v.slots[2] = AluAction{AluOp::kSet, 0, 0, 7};
   v.slots[5] = AluAction{AluOp::kSet, 0, 0, 8};
   pipe.stage(0).WriteVliw(0, v);
-  EXPECT_TRUE(pipe.ExecPlanFor(ModuleId(row)).kernel.multi_slot);
+  EXPECT_FALSE(pipe.ExecPlanFor(ModuleId(row)).kernel.wide_or_ternary);
 }
 
 TEST(ExecPlanKernelShape, SingleConstantSlotStaysSingleSlot) {
@@ -447,36 +440,32 @@ TEST(ExecPlanKernelShape, SingleConstantSlotStaysSingleSlot) {
   v.slots[2] = AluAction{AluOp::kSet, 0, 0, 7};
   pipe.stage(0).WriteVliw(0, v);
   const ModuleExecPlan& plan = pipe.ExecPlanFor(ModuleId(row));
-  EXPECT_FALSE(plan.kernel.multi_slot);
-  EXPECT_FALSE(plan.kernel.stateful);
-  EXPECT_EQ(plan.kernel.potential_steps, 1);
+  EXPECT_FALSE(plan.kernel.wide_or_ternary);
 }
 
 TEST(ExecPlanKernelShape, ZeroMaskStageCountsOnlyWithAliasedEntry) {
-  // An all-zero-mask stage with no valid entry can never contribute a
-  // step; writing one reachable entry makes a constant hit possible and
-  // the bound must grow by exactly that stage.
+  // Zero-mask stages with or without an aliased entry, and one-word
+  // probing stages with or without entries behind them, all keep the
+  // row on the step loop.
   Pipeline pipe;
   const std::size_t row = 9;
-  EXPECT_EQ(pipe.ExecPlanFor(ModuleId(row)).kernel.potential_steps, 0);
+  EXPECT_FALSE(pipe.ExecPlanFor(ModuleId(row)).kernel.wide_or_ternary);
   flowcache::WriteReachableEntry(pipe, row, 0);  // stage 0, zero mask
-  EXPECT_EQ(pipe.ExecPlanFor(ModuleId(row)).kernel.potential_steps, 1);
-  flowcache::WriteOneWordKey(pipe, row);  // stage 0 now probes; still 1
-  EXPECT_EQ(pipe.ExecPlanFor(ModuleId(row)).kernel.potential_steps, 1);
-  // A probing stage counts even with no entries behind it (a miss still
-  // runs the probe).
+  EXPECT_FALSE(pipe.ExecPlanFor(ModuleId(row)).kernel.wide_or_ternary);
+  flowcache::WriteOneWordKey(pipe, row);  // stage 0 now probes
+  EXPECT_FALSE(pipe.ExecPlanFor(ModuleId(row)).kernel.wide_or_ternary);
   KeyExtractorEntry kx;
   kx.selectors[5] = 2;
   pipe.stage(2).key_extractor().Write(row, kx);
   KeyMaskEntry mask;
   mask.mask.set_field(1, 16, 0xFFFF);
   pipe.stage(2).key_mask().Write(row, mask);
-  EXPECT_EQ(pipe.ExecPlanFor(ModuleId(row)).kernel.potential_steps, 2);
+  EXPECT_FALSE(pipe.ExecPlanFor(ModuleId(row)).kernel.wide_or_ternary);
 }
 
 // Regression: an all-zero-mask (constant-key) module is eligible — its
 // key word is constantly zero — and its per-stage accounting flows
-// through Stage::BeginRun's bulk path, NOT the cache's per-verdict
+// through Stage::AccountConstantRun, NOT the cache's per-verdict
 // accumulator.  Both paths active in one run must still produce exactly
 // the reference counters.
 TEST(ExecPlanFlowCache, ConstantKeyModuleBulkAccountingExact) {

@@ -1,8 +1,8 @@
-// Differential and exhaustiveness tests for the specialized
-// straight-line kernels (pipeline/kernels).
+// Differential and tier-selection tests for the compiled steps
+// (pipeline/kernels).
 //
-// The kernels rewrite the observable per-packet function of
-// ProcessUnplanned (the linear reference) as per-shape fused loops;
+// A row's compiled steps rewrite the observable per-packet function of
+// ProcessUnplanned (the linear reference) as one step loop;
 // wide/ternary rows stay on the interpreted compiled plan
 // (pipeline/exec_plan).  Everything a tenant can observe — output
 // bytes, disposition, egress, multicast set, per-tenant counters, and
@@ -40,61 +40,13 @@ void ExpectSameOutput(const PipelineResult& ref, const PipelineResult& got,
   }
 }
 
-// --- Kernel-selection exhaustiveness -------------------------------------------
+// --- Tier selection ----------------------------------------------------------
 //
-// The dispatch contract (Pipeline::RunSpan): a run is classified into
-// KernelShapeId(num_steps, stateful, multi_slot, wide_or_ternary) and
-// executed by KernelRegistry<PacketT>()[shape] when non-null, else by
-// the interpreted plan loop.  No shape may be a silent slow path: every
-// id the classifier can emit has a registered kernel — for both packet
-// types — and every id it cannot emit is provably routed to the
-// fallback.
-
-template <typename PacketT>
-void ExpectRegistryCoversEmittableShapes() {
-  const auto& registry = KernelRegistry<PacketT>();
-  for (std::size_t id = 0; id < kKernelShapeCount; ++id) {
-    const u8 steps = static_cast<u8>(id & 0x7u);
-    const bool wide = (id & 0x20u) != 0;
-    // BuildKernelRun emits at most one step per stage, so num_steps <=
-    // kNumStages; RunSpan never dispatches wide_or_ternary plans (it
-    // checks the plan bit before classifying).  Everything else is
-    // emittable and must have a kernel.
-    const bool emittable = steps <= params::kNumStages && !wide;
-    if (emittable) {
-      EXPECT_NE(registry[id], nullptr)
-          << "shape " << KernelShapeName(static_cast<u8>(id))
-          << " is classifier-emittable but has no registered kernel";
-    } else {
-      EXPECT_EQ(registry[id], nullptr)
-          << "shape " << KernelShapeName(static_cast<u8>(id))
-          << " is unreachable yet has a kernel registered";
-    }
-  }
-}
-
-TEST(KernelSelection, EveryEmittableShapeHasARegisteredKernel) {
-  ExpectRegistryCoversEmittableShapes<Packet>();
-  ExpectRegistryCoversEmittableShapes<ArenaPacket>();
-}
-
-TEST(KernelSelection, ShapeIdPacksAndNamesAreStable) {
-  EXPECT_EQ(KernelShapeId(0, false, false, false), 0);
-  EXPECT_EQ(KernelShapeId(5, false, false, false), 5);
-  EXPECT_EQ(KernelShapeId(2, true, false, false), 0x0A);
-  EXPECT_EQ(KernelShapeId(2, false, true, false), 0x12);
-  EXPECT_EQ(KernelShapeId(1, true, true, true), 0x39);
-  EXPECT_STREQ(KernelShapeName(KernelShapeId(2, true, false, false)),
-               "s2+stateful");
-  EXPECT_STREQ(KernelShapeName(KernelShapeId(1, false, true, true)),
-               "wide/ternary:s1+multislot");
-}
-
 // Wide/ternary plans must route to the interpreter and count as
-// fallback packets; kernel-shaped plans must count as kernel packets
-// under the right shape id.  (A word-0-only ternary mask stays
-// flow-cacheable and never reaches either — the wide mask here also
-// blocks the cache, forcing the run through RunSpan.)
+// fallback packets; every other plan must count as kernel packets.  (A
+// word-0-only ternary mask stays flow-cacheable and never reaches
+// either — the wide mask here also blocks the cache, forcing the run
+// through RunSpan.)
 TEST(KernelSelection, DispatchCountersTellKernelFromFallback) {
   Pipeline pipe;
   const std::size_t row = 2;
@@ -114,9 +66,8 @@ TEST(KernelSelection, DispatchCountersTellKernelFromFallback) {
   EXPECT_EQ(ks.pkts, 0u);
   EXPECT_EQ(ks.fallback_pkts, 8u);
 
-  // A kernel-shaped tenant (calc: multi-slot writes block the flow
-  // cache, the shape has a registered kernel) lands in the kernel
-  // counters, under exactly one shape id, with the fallback untouched.
+  // A step-compiled tenant (calc: multi-slot writes block the flow
+  // cache) lands in the kernel counters, with the fallback untouched.
   ModuleManager mgr(pipe);
   const ModuleAllocation alloc = StandardAlloc(9);
   CompiledModule m = MustCompile(apps::CalcSpec(), alloc);
@@ -135,9 +86,6 @@ TEST(KernelSelection, DispatchCountersTellKernelFromFallback) {
   ks = pipe.KernelSnapshot();
   EXPECT_EQ(ks.pkts, 8u);
   EXPECT_EQ(ks.fallback_pkts, 8u);  // unchanged
-  u64 shaped = 0;
-  for (const u64 n : ks.shape_pkts) shaped += n;
-  EXPECT_EQ(shaped, 8u);
 }
 
 // --- Randomized single-pipeline differential -----------------------------------
@@ -145,8 +93,7 @@ TEST(KernelSelection, DispatchCountersTellKernelFromFallback) {
 // Two pipelines under the identical random configuration stream: one
 // running the execution ladder, one processing through
 // ProcessUnplanned.  Ternary extractors and wide masks are thrown in so
-// the wide/ternary fallback runs interleaved with kernel runs of every
-// reachable shape.
+// the wide/ternary fallback runs interleaved with step-loop runs.
 
 ParserAction RandomParserAction(Rng& rng) {
   ParserAction a;
