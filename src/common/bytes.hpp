@@ -1,25 +1,85 @@
 // Byte-buffer utilities: network-order readers/writers over contiguous
 // byte storage.  All multi-byte packet fields in this codebase are
 // big-endian (network order), matching what the hardware parser sees.
+//
+// A ByteBuffer's storage comes from a per-thread cache of freed blocks
+// (byte_storage below), the software counterpart of the fixed packet
+// buffers Menshen's packet filter parks data packets in (section 3.2):
+// building and destroying a Packet costs a stack pop and a push instead
+// of a trip through the general-purpose allocator.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/types.hpp"
 
 namespace menshen {
 
+/// Per-thread cache of freed byte storage, modelled on the per-core
+/// buffer cache of a DPDK mempool.  Requests up to kMaxClassBytes are
+/// rounded up to one of eleven size classes (two per octave, 64 B to the
+/// 2 KiB ArenaPacket data room); each class keeps a stack of pointers to
+/// freed blocks, and a free never writes into the freed block (the
+/// worker that deparsed the packet may still hold its lines).  A thread
+/// keeps at most kCacheBudget bytes of idle blocks (class-rounded):
+/// larger requests, and frees past the budget or after the thread's
+/// cache is gone, go straight to operator new/delete.  A thread's blocks
+/// are released when it exits.  Storage freed on another thread than
+/// the one that allocated it is reused by the freeing thread.  Under
+/// AddressSanitizer cached blocks are poisoned, so a use after free is
+/// still reported.
+namespace byte_storage {
+
+inline constexpr std::size_t kMaxClassBytes = 2048;
+inline constexpr std::size_t kCacheBudget = std::size_t{1} << 20;
+
+/// A block of at least `n` bytes, from this thread's cache when its
+/// class has one.
+[[nodiscard]] void* Allocate(std::size_t n);
+/// Returns a block Allocate(n) handed out (on any thread).
+void Release(void* p, std::size_t n) noexcept;
+/// Bytes (class-rounded) of idle blocks this thread's cache holds.
+[[nodiscard]] std::size_t CachedBytes() noexcept;
+
+}  // namespace byte_storage
+
+/// Stateless allocator over byte_storage: every instance is equal, so
+/// moving a ByteBuffer (and the Packet around it) steals its storage.
+template <typename T>
+struct ByteStorageAllocator {
+  using value_type = T;
+  using is_always_equal = std::true_type;
+
+  ByteStorageAllocator() = default;
+  template <typename U>
+  ByteStorageAllocator(const ByteStorageAllocator<U>&) noexcept {}
+
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(byte_storage::Allocate(n * sizeof(T)));
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    byte_storage::Release(p, n * sizeof(T));
+  }
+  template <typename U>
+  bool operator==(const ByteStorageAllocator<U>&) const noexcept {
+    return true;
+  }
+};
+
 /// Growable byte buffer with bounds-checked big-endian accessors.
 class ByteBuffer {
  public:
   ByteBuffer() = default;
+  /// `size` zero bytes (recycled storage included).
   explicit ByteBuffer(std::size_t size) : data_(size, 0) {}
-  explicit ByteBuffer(std::vector<u8> bytes) : data_(std::move(bytes)) {}
+  /// A copy of `bytes` (a std::vector<u8> converts).
+  explicit ByteBuffer(std::span<const u8> bytes)
+      : data_(bytes.begin(), bytes.end()) {}
 
   [[nodiscard]] std::size_t size() const { return data_.size(); }
   [[nodiscard]] bool empty() const { return data_.empty(); }
@@ -88,15 +148,17 @@ class ByteBuffer {
   bool operator==(const ByteBuffer&) const = default;
 
  private:
+  // The compare inlines into every accessor; the throw (which formats
+  // its message) stays out of line, off the packet loops.
   void CheckRange(std::size_t off, std::size_t len) const {
-    if (off + len > data_.size())
-      throw std::out_of_range("ByteBuffer access out of range: off=" +
-                              std::to_string(off) + " len=" +
-                              std::to_string(len) + " size=" +
-                              std::to_string(data_.size()));
+    if (off + len > data_.size()) [[unlikely]]
+      ThrowOutOfRange(off, len, data_.size());
   }
+  [[noreturn, gnu::cold]] static void ThrowOutOfRange(std::size_t off,
+                                                      std::size_t len,
+                                                      std::size_t size);
 
-  std::vector<u8> data_;
+  std::vector<u8, ByteStorageAllocator<u8>> data_;
 };
 
 }  // namespace menshen

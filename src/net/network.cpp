@@ -7,10 +7,10 @@ namespace menshen {
 
 namespace {
 
-/// The one copy out: a delivered packet's bytes plus its sidebands.
+/// The one copy out: a delivered packet's bytes (into cached storage,
+/// common/bytes.hpp) plus its sidebands.
 Packet ToPacket(const ArenaPacket& p) {
-  const auto b = p.bytes().bytes();
-  Packet out(ByteBuffer(std::vector<u8>(b.begin(), b.end())));
+  Packet out(ByteBuffer(p.bytes().bytes()));
   out.ingress_port = p.ingress_port;
   out.disposition = p.disposition;
   out.egress_port = p.egress_port;

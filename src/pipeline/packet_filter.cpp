@@ -14,9 +14,4 @@ void PacketFilter::MarkUnderReconfig(ModuleId module, bool under) {
     bitmap_ &= ~bit;
 }
 
-bool PacketFilter::IsUnderReconfig(ModuleId module) const {
-  if (module.value() >= 32) return false;
-  return (bitmap_ & (u32{1} << module.value())) != 0;
-}
-
 }  // namespace menshen

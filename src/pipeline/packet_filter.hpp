@@ -91,7 +91,10 @@ class PacketFilter {
   /// Convenience used by the control plane: mark one module as under
   /// reconfiguration (bit M of the bitmap).
   void MarkUnderReconfig(ModuleId module, bool under);
-  [[nodiscard]] bool IsUnderReconfig(ModuleId module) const;
+  [[nodiscard]] bool IsUnderReconfig(ModuleId module) const {
+    return module.value() < 32 &&
+           (bitmap_ & (u32{1} << module.value())) != 0;
+  }
 
   // Drop statistics.
   [[nodiscard]] u64 dropped_no_vlan() const { return dropped_no_vlan_; }

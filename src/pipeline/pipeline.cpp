@@ -396,7 +396,6 @@ PipelineResult Pipeline::ProcessUnplanned(Packet pkt) {
 
   result.exec_tier = static_cast<u8>(ExecTier::kUnplanned);
   result.exec_steps = static_cast<u8>(stages_.size());
-  result.final_phv = phv;
   result.output = std::move(pkt);
   return result;
 }

@@ -55,9 +55,6 @@ struct PipelineResult {
   FilterVerdict filter_verdict = FilterVerdict::kData;
   /// Present iff the packet traversed the match-action pipeline.
   std::optional<Packet> output;
-  /// PHV as it left the last stage — filled only by ProcessUnplanned
-  /// (the ladder parses into reused scratch PHVs and emits none).
-  std::optional<Phv> final_phv;
   /// Execution-ladder tier that resolved the packet (common/
   /// exec_tier.hpp ExecTier as u8; kNone for filtered packets) and the
   /// stages/steps that tier visited — telemetry sidebands.
