@@ -44,7 +44,10 @@
 //     that finds the shard's ring full, never by the shard's owner.
 //   * Dataplane's `tenant_forwarded_` / `tenant_dropped_`: one array
 //     indexed by tenant and shared by every shard's executor.  They take
-//     one add per tenant run of a work item, not one per packet.
+//     one add per tenant run of a work item, not one per packet, and are
+//     the one source of every per-tenant total: the exact accessors read
+//     them after a drain, the relaxed ones without, and a shrink has
+//     nothing to fold because no replica holds a copy.
 //
 // Both types copy by value so the structs embedding them stay copyable
 // (pipeline replicas are constructed into vectors).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <set>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
@@ -515,12 +514,6 @@ void Dataplane::ExecuteWork(std::size_t s, ingress::ShardWork& work) {
   for (const PacketT* p : pkts)
     ctx.vids.push_back(p->has_vlan() ? p->vid().value() : kNoVid);
 
-  // Tier counts are the burst's delta of the replica's own tier
-  // counters: no per-packet pass.
-  const bool histograms = telemetry_.histograms_enabled();
-  const std::array<u64, kExecTierCount> tiers_before =
-      histograms ? shards_[s].TierPkts() : std::array<u64, kExecTierCount>{};
-
   bool ok = true;
   try {
     shards_[s].ProcessStreamBurst(pkts.data(), n);
@@ -553,6 +546,7 @@ void Dataplane::ExecuteWork(std::size_t s, ingress::ShardWork& work) {
     // accounting, so the relaxed stats agree with the exact ones whenever
     // the engine is quiet.  Runs before the tail below hands the packets
     // on.
+    const bool histograms = telemetry_.histograms_enabled();
     const bool sampling = telemetry_.sample_every() != 0;
     const u64 now = histograms || sampling ? TscClock::Now() : 0;
     u64 fwd = 0;
@@ -585,17 +579,6 @@ void Dataplane::ExecuteWork(std::size_t s, ingress::ShardWork& work) {
     ctx.dropped.Add(drop);
     ctx.filtered.Add(n - fwd - drop);
 
-    if (histograms) {
-      // Packets no tier resolved (filtered) are what is left over.
-      std::array<u64, kExecTierCount> tiers = shards_[s].TierPkts();
-      tiers[0] = n;
-      for (u8 t = 1; t < kExecTierCount; ++t) {
-        tiers[t] -= tiers_before[t];
-        tiers[0] -= tiers[t];
-      }
-      for (u8 t = 0; t < kExecTierCount; ++t)
-        if (tiers[t] != 0) telemetry_.CountTier(s, t, tiers[t]);
-    }
     if (sampling) {
       for (std::size_t k = 0; k < n; ++k) {
         if (!telemetry_.SampleTick(s)) continue;
@@ -782,14 +765,13 @@ std::size_t Dataplane::ResizeShards(std::size_t new_count) {
 
   const std::size_t old_count = shards_.size();
   if (new_count != old_count) {
-    // Pin every active tenant's current placement before the hash
-    // denominator changes: an unpinned tenant's default shard would
-    // silently move, stranding its stateful segments.
-    for (const Pipeline& shard : shards_)
-      for (const ModuleId t : shard.ActiveModules())
-        steering_[t.value()].store(
-            static_cast<u32>(ShardForLocked(t, old_count)),
-            std::memory_order_release);
+    // Pin every tenant the dataplane counted to its current placement
+    // before the hash denominator changes: an unpinned tenant's default
+    // shard would silently move, stranding its stateful segments.
+    for (const ModuleId t : ActiveTenantsRelaxed())
+      steering_[t.value()].store(
+          static_cast<u32>(ShardForLocked(t, old_count)),
+          std::memory_order_release);
 
     if (new_count > old_count) {
       for (std::size_t s = old_count; s < new_count; ++s) AddShardLocked();
@@ -802,15 +784,9 @@ std::size_t Dataplane::ResizeShards(std::size_t new_count) {
         MigrateTenantLocked(ModuleId(static_cast<u16>(v)),
                             MixTenantId(v) % new_count);
       }
-      // Fold the dying replicas' counters into the retired aggregates so
-      // the exact per-tenant and total accessors stay monotonic.
-      for (std::size_t s = new_count; s < old_count; ++s) {
-        for (const ModuleId m : shards_[s].ActiveModules()) {
-          retired_forwarded_[m.value()] += shards_[s].forwarded(m);
-          retired_dropped_[m.value()] += shards_[s].dropped(m);
-        }
+      // Retire the dying replicas' packets so the total stays monotonic.
+      for (std::size_t s = new_count; s < old_count; ++s)
         retired_packets_ += shard_ctx_[s]->packets.load();
-      }
       for (std::size_t s = new_count; s < old_count; ++s) StopWorkerLocked(s);
       shard_ctx_.resize(new_count);
       while (shards_.size() > new_count) shards_.pop_back();
@@ -826,37 +802,70 @@ std::size_t Dataplane::ResizeShards(std::size_t new_count) {
 
 // --- Statistics ----------------------------------------------------------------
 
-Dataplane::ShardCounters Dataplane::ShardCountersLocked(std::size_t i) const {
-  const ShardContext& ctx = *shard_ctx_.at(i);
-  ShardCounters c;
-  c.batches = ctx.batches.load();
-  c.packets = ctx.packets.load();
-  c.forwarded = ctx.forwarded.load();
-  c.dropped = ctx.dropped.load();
-  c.filtered = ctx.filtered.load();
-  c.queue_depth = ctx.queue.approx_size();
-  c.busy_ns = ctx.busy_ns.load();
-  c.stream_bursts = ctx.stream_bursts.load();
-  c.stream_pkts = ctx.stream_pkts.load();
-  c.egress_pkts = ctx.egress_pkts.load();
-  {
-    std::lock_guard<std::mutex> lk(ctx.egress_m);
-    c.egress_depth = ctx.egress.size();
+std::array<u64, kExecTierCount> Dataplane::ShardCounters::TierPkts() const {
+  // A run's fills are counted at its end, after Admit counted each miss:
+  // a relaxed row may see fills whose misses it did not, so clamp.
+  const u64 fills = std::min(kernel_record_fills, flow_cache_misses);
+  std::array<u64, kExecTierCount> t{};
+  t[static_cast<u8>(ExecTier::kFlowCacheHit)] = flow_cache_hits;
+  t[static_cast<u8>(ExecTier::kKernel)] = kernel_pkts + kernel_record_fills;
+  t[static_cast<u8>(ExecTier::kInterpreted)] =
+      kernel_fallback_pkts + flow_cache_misses - fills;
+  return t;
+}
+
+std::vector<Dataplane::ShardCounters> Dataplane::ShardRowsLocked() const {
+  std::vector<ShardCounters> rows(shard_ctx_.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const ShardContext& ctx = *shard_ctx_[i];
+    ShardCounters& c = rows[i];
+    c.batches = ctx.batches.load();
+    c.packets = ctx.packets.load();
+    c.forwarded = ctx.forwarded.load();
+    c.dropped = ctx.dropped.load();
+    c.filtered = ctx.filtered.load();
+    c.queue_depth = ctx.queue.approx_size();
+    c.busy_ns = ctx.busy_ns.load();
+    c.stream_bursts = ctx.stream_bursts.load();
+    c.stream_pkts = ctx.stream_pkts.load();
+    c.egress_pkts = ctx.egress_pkts.load();
+    {
+      std::lock_guard<std::mutex> lk(ctx.egress_m);
+      c.egress_depth = ctx.egress.size();
+    }
+    c.producer_stalls = ctx.producer_stalls.load();
+    const FlowCacheStats fc = shards_[i].FlowCacheSnapshot();
+    c.flow_cache_hits = fc.hits;
+    c.flow_cache_misses = fc.misses;
+    c.flow_cache_evictions = fc.evictions;
+    c.flow_cache_rejects = fc.rejects;
+    c.flow_cache_occupancy = fc.occupancy;
+    c.flow_cache_burst_pkts = fc.hits + fc.misses;
+    c.flow_cache_burst_fallback = fc.misses;
+    const Pipeline::KernelStats ks = shards_[i].KernelSnapshot();
+    c.kernel_pkts = ks.pkts;
+    c.kernel_fallback_pkts = ks.fallback_pkts;
+    c.kernel_record_fills = ks.record_fills;
   }
-  c.producer_stalls = ctx.producer_stalls.load();
-  const FlowCacheStats fc = shards_.at(i).FlowCacheSnapshot();
-  c.flow_cache_hits = fc.hits;
-  c.flow_cache_misses = fc.misses;
-  c.flow_cache_evictions = fc.evictions;
-  c.flow_cache_rejects = fc.rejects;
-  c.flow_cache_occupancy = fc.occupancy;
-  c.flow_cache_burst_pkts = fc.burst_pkts;
-  c.flow_cache_burst_fallback = fc.burst_fallback_pkts;
-  const Pipeline::KernelStats ks = shards_.at(i).KernelSnapshot();
-  c.kernel_pkts = ks.pkts;
-  c.kernel_fallback_pkts = ks.fallback_pkts;
-  c.kernel_record_fills = ks.record_fills;
-  return c;
+  return rows;
+}
+
+std::vector<Dataplane::TenantCounts> Dataplane::TenantRowsLocked() const {
+  std::vector<TenantCounts> rows;
+  for (const ModuleId tenant : ActiveTenantsRelaxed()) {
+    TenantCounts& t = rows.emplace_back();
+    t.tenant = tenant;
+    t.shard = ShardForLocked(tenant, shards_.size());
+    t.forwarded = forwarded_relaxed(tenant);
+    t.dropped = dropped_relaxed(tenant);
+  }
+  return rows;
+}
+
+u64 Dataplane::TotalPacketsLocked() const {
+  u64 total = retired_packets_;
+  for (const auto& ctx : shard_ctx_) total += ctx->packets.load();
+  return total;
 }
 
 ModuleExecPlan Dataplane::DescribeTenantRow(ModuleId tenant) const {
@@ -865,21 +874,10 @@ ModuleExecPlan Dataplane::DescribeTenantRow(ModuleId tenant) const {
       .DescribeRow(tenant);
 }
 
-Dataplane::ShardCounters Dataplane::shard_counters(std::size_t i) const {
-  // Shared gate: pins the shard set against ResizeShards without ever
-  // draining traffic.
-  SharedGate gate(*this);
-  return ShardCountersLocked(i);
-}
-
 std::vector<Dataplane::ShardCounters> Dataplane::CountersSnapshot() const {
   ExclusiveGate gate(*this);
   DrainLocked();
-  std::vector<ShardCounters> out;
-  out.reserve(shard_ctx_.size());
-  for (std::size_t i = 0; i < shard_ctx_.size(); ++i)
-    out.push_back(ShardCountersLocked(i));
-  return out;
+  return ShardRowsLocked();
 }
 
 std::vector<Dataplane::ShardCounters> Dataplane::CountersSnapshotRelaxed()
@@ -887,73 +885,39 @@ std::vector<Dataplane::ShardCounters> Dataplane::CountersSnapshotRelaxed()
   // Shared gate: serializes only against ResizeShards (shard set stable),
   // never against traffic — producers also hold the gate shared.
   SharedGate gate(*this);
-  std::vector<ShardCounters> out;
-  out.reserve(shard_ctx_.size());
-  for (std::size_t i = 0; i < shard_ctx_.size(); ++i)
-    out.push_back(ShardCountersLocked(i));
-  return out;
+  return ShardRowsLocked();
 }
 
-namespace {
-
-std::vector<Dataplane::StageMatchCounters> GatherMatchCounters(
-    const std::deque<Pipeline>& shards) {
-  std::vector<Dataplane::StageMatchCounters> out;
-  if (shards.empty()) return out;
-  out.resize(shards.front().num_stages());
-  for (const Pipeline& shard : shards) {
-    for (std::size_t i = 0; i < shard.num_stages(); ++i) {
-      const Stage& stage = shard.stage(i);
-      out[i].cam_lookups += stage.cam().lookups();
-      out[i].cam_hits += stage.cam().hits();
-      out[i].tcam_lookups += stage.tcam().lookups();
-      out[i].tcam_hits += stage.tcam().hits();
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-std::vector<Dataplane::StageMatchCounters> Dataplane::MatchCountersSnapshot()
-    const {
+Dataplane::QuiescedStats Dataplane::QuiescedStatsSnapshot() const {
   ExclusiveGate gate(*this);
   DrainLocked();
-  return GatherMatchCounters(shards_);
-}
-
-std::vector<Dataplane::StageMatchCounters>
-Dataplane::MatchCountersSnapshotRelaxed() const {
-  // The CAM/TCAM counters are relaxed atomics, safe to read while
-  // workers probe them; the shared gate only pins the shard set.
-  SharedGate gate(*this);
-  return GatherMatchCounters(shards_);
-}
-
-u64 Dataplane::ForwardedLocked(ModuleId tenant) const {
-  const auto it = retired_forwarded_.find(tenant.value());
-  u64 total = it == retired_forwarded_.end() ? 0 : it->second;
-  for (const Pipeline& shard : shards_) total += shard.forwarded(tenant);
-  return total;
-}
-
-u64 Dataplane::DroppedLocked(ModuleId tenant) const {
-  const auto it = retired_dropped_.find(tenant.value());
-  u64 total = it == retired_dropped_.end() ? 0 : it->second;
-  for (const Pipeline& shard : shards_) total += shard.dropped(tenant);
-  return total;
+  QuiescedStats s;
+  s.shards = ShardRowsLocked();
+  s.match_stages.resize(shards_.front().num_stages());
+  for (const Pipeline& shard : shards_) {
+    for (std::size_t i = 0; i < shard.num_stages(); ++i) {
+      const Stage& stage = shard.stage(i);
+      s.match_stages[i].cam_lookups += stage.cam().lookups();
+      s.match_stages[i].cam_hits += stage.cam().hits();
+      s.match_stages[i].tcam_lookups += stage.tcam().lookups();
+      s.match_stages[i].tcam_hits += stage.tcam().hits();
+    }
+  }
+  s.tenants = TenantRowsLocked();
+  s.total_packets = TotalPacketsLocked();
+  return s;
 }
 
 u64 Dataplane::forwarded(ModuleId tenant) const {
   ExclusiveGate gate(*this);
   DrainLocked();
-  return ForwardedLocked(tenant);
+  return forwarded_relaxed(tenant);
 }
 
 u64 Dataplane::dropped(ModuleId tenant) const {
   ExclusiveGate gate(*this);
   DrainLocked();
-  return DroppedLocked(tenant);
+  return dropped_relaxed(tenant);
 }
 
 u64 Dataplane::forwarded_relaxed(ModuleId tenant) const {
@@ -962,45 +926,6 @@ u64 Dataplane::forwarded_relaxed(ModuleId tenant) const {
 
 u64 Dataplane::dropped_relaxed(ModuleId tenant) const {
   return tenant_dropped_[tenant.value()].load();
-}
-
-std::vector<ModuleId> Dataplane::ActiveTenantsLocked() const {
-  std::set<u16> ids;
-  for (const Pipeline& shard : shards_)
-    for (const ModuleId m : shard.ActiveModules()) ids.insert(m.value());
-  for (const auto& [id, count] : retired_forwarded_)
-    if (count != 0) ids.insert(id);
-  for (const auto& [id, count] : retired_dropped_)
-    if (count != 0) ids.insert(id);
-  std::vector<ModuleId> out;
-  out.reserve(ids.size());
-  for (const u16 id : ids) out.emplace_back(id);
-  return out;
-}
-
-std::vector<ModuleId> Dataplane::ActiveTenants() const {
-  ExclusiveGate gate(*this);
-  DrainLocked();
-  return ActiveTenantsLocked();
-}
-
-Dataplane::QuiescedStats Dataplane::QuiescedStatsSnapshot() const {
-  ExclusiveGate gate(*this);
-  DrainLocked();
-  QuiescedStats s;
-  s.shards.reserve(shard_ctx_.size());
-  s.total_packets = retired_packets_;
-  for (std::size_t i = 0; i < shard_ctx_.size(); ++i) {
-    s.shards.push_back(ShardCountersLocked(i));
-    s.total_packets += s.shards.back().packets;
-  }
-  s.match_stages = GatherMatchCounters(shards_);
-  for (const ModuleId tenant : ActiveTenantsLocked())
-    s.tenants.push_back(TenantCounts{tenant,
-                                     ShardForLocked(tenant, shards_.size()),
-                                     ForwardedLocked(tenant),
-                                     DroppedLocked(tenant)});
-  return s;
 }
 
 std::vector<ModuleId> Dataplane::ActiveTenantsRelaxed() const {
@@ -1014,16 +939,12 @@ std::vector<ModuleId> Dataplane::ActiveTenantsRelaxed() const {
 u64 Dataplane::total_packets() const {
   ExclusiveGate gate(*this);
   DrainLocked();
-  u64 total = retired_packets_;
-  for (const auto& ctx : shard_ctx_) total += ctx->packets.load();
-  return total;
+  return TotalPacketsLocked();
 }
 
 u64 Dataplane::total_packets_relaxed() const {
   SharedGate gate(*this);
-  u64 total = retired_packets_;
-  for (const auto& ctx : shard_ctx_) total += ctx->packets.load();
-  return total;
+  return TotalPacketsLocked();
 }
 
 }  // namespace menshen

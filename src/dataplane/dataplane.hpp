@@ -58,8 +58,9 @@
 // with control-plane operations.  Mutations (CommitEpoch, ApplyWrite,
 // MigrateTenant, ResizeShards) and the exact statistics accessors take
 // the engine exclusively and drain in-flight work first (the quiesce
-// barrier); the *_relaxed statistics accessors never quiesce — they read
-// monotonic relaxed counters and are meant for a periodic control-plane
+// barrier).  Each statistics family has one read: an exact accessor makes
+// it after the drain, and its *_relaxed counterpart makes the same read
+// without one — monotonic relaxed counters, for a periodic control-plane
 // tick that must not stall ingress (runtime/controller).
 #pragma once
 
@@ -74,7 +75,6 @@
 #include <mutex>
 #include <shared_mutex>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/counters.hpp"
@@ -295,9 +295,14 @@ class Dataplane {
   }
 
   // --- Statistics --------------------------------------------------------------
+  //
+  // Each family below (shard rows, stage match rows, tenant rows, the
+  // packet total) is read by one function.  An exact accessor takes the
+  // engine exclusively, drains in-flight work and then makes that read;
+  // a relaxed accessor makes the same read without draining.
 
-  /// Per-shard traffic counters, updated per work item.  forwarded,
-  /// dropped and filtered are disjoint and sum to packets.
+  /// One shard replica's row, updated per work item.  forwarded, dropped
+  /// and filtered are disjoint and sum to packets.
   struct ShardCounters {
     u64 batches = 0;   // ticket slices handed to this replica
     u64 packets = 0;   // packets steered to this replica
@@ -322,10 +327,10 @@ class Dataplane {
     u64 flow_cache_evictions = 0;
     u64 flow_cache_rejects = 0;
     u64 flow_cache_occupancy = 0;
-    /// Cached tier (Pipeline::RunSpanCached): lanes run through the
-    /// flow-verdict cache (hits + misses), and of those, lanes not
-    /// served by a hit (the misses).  The names are kept for the
-    /// end-to-end bench, which reads them.
+    /// Cached tier (Pipeline::RunSpanCached), derived: every lane through
+    /// the flow-verdict cache either hits or misses, so the lanes are
+    /// hits + misses and the lanes not served by a hit are the misses.
+    /// The names are kept for the end-to-end bench, which reads them.
     u64 flow_cache_burst_pkts = 0;
     u64 flow_cache_burst_fallback = 0;
     /// Kernel tier (pipeline/kernels.hpp): packets run by a row's
@@ -345,12 +350,15 @@ class Dataplane {
     /// that found this shard's ingress ring full (one per stalled push,
     /// not per retry) — the controller's adaptive-depth signal.
     u64 producer_stalls = 0;
-  };
-  /// Relaxed per-shard view: never drains traffic, but does pin the
-  /// shard set against a concurrent resize (see CountersSnapshotRelaxed).
-  [[nodiscard]] ShardCounters shard_counters(std::size_t i) const;
 
-  /// Exact snapshot of every shard's counters: quiesces (drains in-flight
+    /// Packets each ladder tier resolved on this replica, indexed by
+    /// ExecTier: flow-cache hits; compiled-step runs plus the misses
+    /// their steps filled; interpreted runs plus the misses BuildVerdict
+    /// filled.  kNone and kUnplanned read 0.
+    [[nodiscard]] std::array<u64, kExecTierCount> TierPkts() const;
+  };
+
+  /// Exact snapshot of every shard's row: quiesces (drains in-flight
   /// work), so totals are batch-consistent.
   [[nodiscard]] std::vector<ShardCounters> CountersSnapshot() const;
   /// Relaxed snapshot: reads the monotonic per-shard counters without
@@ -361,49 +369,71 @@ class Dataplane {
   /// load tracking, never a stall for ingress.
   [[nodiscard]] std::vector<ShardCounters> CountersSnapshotRelaxed() const;
 
-  /// Per-stage match-path counters, aggregated across every shard
-  /// replica.  The exact variant quiesces; the relaxed variant reads the
-  /// CAM/TCAM relaxed atomics live.
+  /// One pipeline stage's match-path counters, aggregated across every
+  /// shard replica.  Lookups count CAM probes (exact: indexed or
+  /// one-word; ternary: narrowed scan).
   struct StageMatchCounters {
     u64 cam_lookups = 0;
     u64 cam_hits = 0;
     u64 tcam_lookups = 0;
     u64 tcam_hits = 0;
-  };
-  [[nodiscard]] std::vector<StageMatchCounters> MatchCountersSnapshot() const;
-  [[nodiscard]] std::vector<StageMatchCounters> MatchCountersSnapshotRelaxed()
-      const;
 
-  /// One tenant's exact totals (aggregated across shards + retired),
-  /// plus its steering as of the same quiesced instant.
+    [[nodiscard]] double cam_hit_ratio() const {
+      return cam_lookups == 0 ? 0.0
+                              : static_cast<double>(cam_hits) /
+                                    static_cast<double>(cam_lookups);
+    }
+    [[nodiscard]] double tcam_hit_ratio() const {
+      return tcam_lookups == 0 ? 0.0
+                               : static_cast<double>(tcam_hits) /
+                                     static_cast<double>(tcam_lookups);
+    }
+  };
+
+  /// One tenant's row: its totals and the shard its traffic is steered
+  /// to, read under the quiesce, and the execution-ladder facts of its
+  /// compiled row, which runtime/CollectDataplaneStats stamps afterwards
+  /// without draining traffic.
   struct TenantCounts {
     ModuleId tenant;
     std::size_t shard = 0;
     u64 forwarded = 0;
     u64 dropped = 0;
+    /// Why (if at all) the flow-verdict cache is blocked for the row.
+    FlowCacheBlocker flow_blocker = FlowCacheBlocker::kNone;
+    /// The top tier of the row: the flow cache for a cacheable row (its
+    /// misses run the compiled steps), the compiled steps, or the
+    /// interpreted plan for a row with a wide or ternary probe.
+    ExecTier tier = ExecTier::kNone;
+    /// p99 packet latency (ns) from the telemetry histograms, merged
+    /// across shards and both paths; 0 when the tenant has no samples
+    /// (or histograms are disabled).
+    u64 p99_ns = 0;
   };
-  /// Everything the exact statistics collection needs, gathered under a
-  /// single quiesce, so shard rows, tenant totals, match counters and
-  /// the packet total are mutually consistent — and ingress stalls once,
-  /// not once per accessor (runtime/CollectDataplaneStats uses this).
+
+  /// Every row family gathered under a single quiesce, so shard rows,
+  /// tenant rows, match rows and the packet total are mutually
+  /// consistent — and ingress stalls once, not once per family
+  /// (runtime/CollectDataplaneStats uses this).
   struct QuiescedStats {
-    std::vector<ShardCounters> shards;
-    std::vector<StageMatchCounters> match_stages;
+    std::vector<ShardCounters> shards;  // index = shard
+    std::vector<StageMatchCounters> match_stages;  // index = stage
     std::vector<TenantCounts> tenants;  // sorted by tenant ID
+    /// Monotonic across resizes: replicas destroyed by a shrink retire
+    /// their packets into it, so it is not the sum of the shard rows.
     u64 total_packets = 0;
   };
   [[nodiscard]] QuiescedStats QuiescedStatsSnapshot() const;
 
-  // Per-tenant view, aggregated across shards.  The exact accessors
-  // quiesce (they read the replicas' pipeline-internal maps); the
-  // _relaxed accessors read dataplane-level monotonic counters bumped by
-  // the workers after each sub-batch — equal to the exact values when
-  // quiescent, at most one in-flight sub-batch behind otherwise.
+  // Per-tenant totals: dataplane-level counters bumped by the shard
+  // executors once per tenant run of a work item, so they survive
+  // migrations and resizes.  The exact accessors drain first; the
+  // _relaxed ones are at most one in-flight sub-batch behind.
   [[nodiscard]] u64 forwarded(ModuleId tenant) const;
   [[nodiscard]] u64 dropped(ModuleId tenant) const;
   [[nodiscard]] u64 forwarded_relaxed(ModuleId tenant) const;
   [[nodiscard]] u64 dropped_relaxed(ModuleId tenant) const;
-  [[nodiscard]] std::vector<ModuleId> ActiveTenants() const;
+  /// Tenants with a nonzero forwarded or dropped count, ascending.
   [[nodiscard]] std::vector<ModuleId> ActiveTenantsRelaxed() const;
   [[nodiscard]] u64 total_packets() const;
   [[nodiscard]] u64 total_packets_relaxed() const;
@@ -511,11 +541,10 @@ class Dataplane {
   bool MigrateTenantLocked(ModuleId tenant, std::size_t to_shard);
   [[nodiscard]] std::size_t ShardForLocked(ModuleId tenant,
                                            std::size_t shard_count) const;
-  // Unlocked internals of the exact accessors (caller holds a gate).
-  [[nodiscard]] ShardCounters ShardCountersLocked(std::size_t i) const;
-  [[nodiscard]] u64 ForwardedLocked(ModuleId tenant) const;
-  [[nodiscard]] u64 DroppedLocked(ModuleId tenant) const;
-  [[nodiscard]] std::vector<ModuleId> ActiveTenantsLocked() const;
+  // The one read of each row family (caller holds either gate).
+  [[nodiscard]] std::vector<ShardCounters> ShardRowsLocked() const;
+  [[nodiscard]] std::vector<TenantCounts> TenantRowsLocked() const;
+  [[nodiscard]] u64 TotalPacketsLocked() const;
 
   // Writer-priority engine lock.  Producers (Submit, SubmitStream) hold
   // it shared for the scatter+enqueue window only (the inline engine:
@@ -583,17 +612,15 @@ class Dataplane {
   static constexpr u32 kNoSteering = ~u32{0};
   std::vector<std::atomic<u32>> steering_;
 
-  // Per-tenant monotonic counters for the relaxed stats path (indexed by
-  // VLAN/module ID, bumped by every shard's executor once per tenant run
-  // of a work item).
+  // Per-tenant monotonic counters, the one source of every per-tenant
+  // total (indexed by VLAN/module ID, bumped by every shard's executor
+  // once per tenant run of a work item).
   std::vector<SharedCounter> tenant_forwarded_;
   std::vector<SharedCounter> tenant_dropped_;
 
-  // Counts carried over from replicas destroyed by ResizeShards shrinks,
-  // so the exact per-tenant/total accessors stay monotonic across
-  // resizes.  Written under the exclusive engine; read under either gate.
-  std::unordered_map<u16, u64> retired_forwarded_;
-  std::unordered_map<u16, u64> retired_dropped_;
+  // Packets of replicas destroyed by ResizeShards shrinks, so the packet
+  // total stays monotonic across resizes.  Written under the exclusive
+  // engine; read under either gate.
   u64 retired_packets_ = 0;
 
   // Recycled work-item pool (see AcquireWork).

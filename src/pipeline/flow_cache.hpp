@@ -175,8 +175,6 @@ struct FlowCacheStats {
   u64 evictions = 0;  // conflict replacements (not invalidation flushes)
   u64 rejects = 0;    // misses admission declined (nothing recorded)
   u64 occupancy = 0;  // valid slots across all rows, right now
-  u64 burst_pkts = 0;           // lanes through the cached tier
-  u64 burst_fallback_pkts = 0;  // of those, lanes not served by a hit
 };
 
 class FlowVerdictCache {
@@ -330,18 +328,16 @@ class FlowVerdictCache {
   static void FlushTally(RunTally& t, const FlowRowState& row, Stage* stages,
                          std::size_t num_stages);
 
-  /// Per-run bookkeeping: `hits` lanes served by a hit out of `lanes`
-  /// through the cached tier.
-  void NoteRun(u64 lanes, u64 hits) {
+  /// Per-run bookkeeping: `hits` lanes of a run were served by a hit.
+  /// Every other lane called Admit, which counted its miss, so the
+  /// lanes through the cached tier are hits + misses.
+  void NoteRun(u64 hits) {
     if (hits != 0) hits_.Add(hits);
-    burst_pkts_.Add(lanes);
-    if (lanes != hits) burst_fallback_pkts_.Add(lanes - hits);
   }
 
   [[nodiscard]] FlowCacheStats Snapshot() const {
-    return {hits_.load(),       misses_.load(),     evictions_.load(),
-            rejects_.load(),    occupancy_.load(),  burst_pkts_.load(),
-            burst_fallback_pkts_.load()};
+    return {hits_.load(), misses_.load(), evictions_.load(), rejects_.load(),
+            occupancy_.load()};
   }
 
   [[nodiscard]] std::size_t slots_per_row() const { return slots_per_row_; }
@@ -381,8 +377,6 @@ class FlowVerdictCache {
   RelaxedCounter evictions_;
   RelaxedCounter rejects_;
   RelaxedCounter occupancy_;
-  RelaxedCounter burst_pkts_;
-  RelaxedCounter burst_fallback_pkts_;
 };
 
 }  // namespace menshen

@@ -1,7 +1,6 @@
 #include "pipeline/pipeline.hpp"
 
 #include <algorithm>
-#include <set>
 #include <stdexcept>
 
 #include "common/exec_tier.hpp"
@@ -65,17 +64,6 @@ Pipeline::KernelStats Pipeline::KernelSnapshot() const {
   s.fallback_pkts = kernel_fallback_pkts_.load();
   s.record_fills = kernel_record_fills_.load();
   return s;
-}
-
-std::array<u64, kExecTierCount> Pipeline::TierPkts() const {
-  const FlowCacheStats fc = flow_cache_.Snapshot();
-  const u64 fills = kernel_record_fills_.load();
-  std::array<u64, kExecTierCount> t{};
-  t[static_cast<u8>(ExecTier::kFlowCacheHit)] = fc.hits;
-  t[static_cast<u8>(ExecTier::kKernel)] = kernel_pkts_.load() + fills;
-  t[static_cast<u8>(ExecTier::kInterpreted)] =
-      kernel_fallback_pkts_.load() + fc.burst_fallback_pkts - fills;
-  return t;
 }
 
 ModuleExecPlan Pipeline::DescribeRow(ModuleId module) const {
@@ -201,7 +189,7 @@ void Pipeline::RunSpanCached(PacketT* const* pkts, const u32* idx,
     FlushKernelCounters(stages_.data(), *kr);
     if (hits != n) kernel_record_fills_.Add(n - hits);
   }
-  flow_cache_.NoteRun(n, hits);
+  flow_cache_.NoteRun(hits);
   total_processed_ += n;
   *prog.forwarded += fwd;
   *prog.dropped += drop;
@@ -457,18 +445,6 @@ void Pipeline::SetMulticastGroup(u16 group, std::vector<u16> ports) {
 const std::vector<u16>* Pipeline::MulticastGroup(u16 group) const {
   const auto it = mcast_groups_.find(group);
   return it == mcast_groups_.end() ? nullptr : &it->second;
-}
-
-std::vector<ModuleId> Pipeline::ActiveModules() const {
-  std::set<u16> ids;
-  for (const auto& [id, count] : forwarded_)
-    if (count != 0) ids.insert(id);
-  for (const auto& [id, count] : dropped_)
-    if (count != 0) ids.insert(id);
-  std::vector<ModuleId> out;
-  out.reserve(ids.size());
-  for (const u16 id : ids) out.emplace_back(id);
-  return out;
 }
 
 u64 Pipeline::forwarded(ModuleId m) const {

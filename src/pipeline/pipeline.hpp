@@ -138,14 +138,6 @@ class Pipeline {
   };
   [[nodiscard]] KernelStats KernelSnapshot() const;
 
-  /// Cumulative packets each ladder tier resolved, indexed by ExecTier
-  /// and derived from the flow-cache and kernel counters: flow-cache
-  /// hits; compiled-step runs plus the misses their steps filled;
-  /// interpreted runs plus the misses BuildVerdict filled.  kNone and
-  /// kUnplanned read 0.  The dataplane's per-shard tier counts are this
-  /// array's delta across a burst.
-  [[nodiscard]] std::array<u64, kExecTierCount> TierPkts() const;
-
   /// Compiles (without caching) the execution plan for `module`'s
   /// overlay row — a const observability hook: stats dumps read the
   /// flow-cache blocker and tier of every active tenant without touching
@@ -175,15 +167,12 @@ class Pipeline {
   void SetMulticastGroup(u16 group, std::vector<u16> ports);
   [[nodiscard]] const std::vector<u16>* MulticastGroup(u16 group) const;
 
-  // Per-module forwarded/dropped counters (control-plane statistics).
+  // Per-module forwarded/dropped counters of this pipeline (a standalone
+  // pipeline's statistics; the dataplane counts its tenants itself).
   [[nodiscard]] u64 forwarded(ModuleId m) const;
   [[nodiscard]] u64 dropped(ModuleId m) const;
   [[nodiscard]] u64 total_processed() const { return total_processed_; }
   [[nodiscard]] u64 config_writes_applied() const { return config_writes_; }
-
-  /// Every module ID that has a nonzero forwarded or dropped counter,
-  /// sorted ascending — the control plane's tenant inventory.
-  [[nodiscard]] std::vector<ModuleId> ActiveModules() const;
 
  private:
   /// One overlay row's program: everything a module run of the row

@@ -114,20 +114,14 @@ Controller::TickReport Controller::TickOnce() {
   u64 busy_max = 0;
   u64 busy_sum = 0;
   for (std::size_t s = 0; s < shard_counters.size(); ++s) {
-    const u64 busy = cfg_.shard_busy_ns
-                         ? cfg_.shard_busy_ns(shard_counters[s])
-                         : shard_counters[s].busy_ns;
+    const Dataplane::ShardCounters& c = shard_counters[s];
+    const u64 busy = cfg_.shard_busy_ns ? cfg_.shard_busy_ns(c) : c.busy_ns;
     const u64 delta = busy - std::min(busy, last_busy_ns_[s]);
     last_busy_ns_[s] = busy;
-    stalls_total += shard_counters[s].producer_stalls;
+    stalls_total += c.producer_stalls;
     busy_max = std::max(busy_max, delta);
     busy_sum += delta;
-    report.shard_loads.push_back(ShardLoad{
-        s, shard_counters[s].queue_depth, delta,
-        shard_counters[s].flow_cache_hits, shard_counters[s].flow_cache_misses,
-        shard_counters[s].flow_cache_occupancy, shard_counters[s].kernel_pkts,
-        shard_counters[s].kernel_fallback_pkts, shard_counters[s].stream_pkts,
-        shard_counters[s].producer_stalls});
+    report.shard_loads.push_back(ShardLoad{c, delta});
   }
   // Skew = max/mean of the per-shard busy-time deltas: 1.0 when the work
   // is spread evenly, num_shards when one shard does everything.
@@ -201,18 +195,19 @@ Controller::TickReport Controller::TickOnce() {
       line += ", skew " + std::string(buf);
     }
     if (report.moves != 0) line += ", moves " + std::to_string(report.moves);
-    for (const ShardLoad& sl : report.shard_loads) {
-      line += " | s" + std::to_string(sl.shard) + " q=" +
-              std::to_string(sl.queue_depth) + " busy=" +
-              std::to_string(sl.busy_ns_delta / 1000) + "us";
-      if (sl.flow_cache_hits + sl.flow_cache_misses != 0)
-        line += " fc=" + std::to_string(sl.flow_cache_hits) + "/" +
-                std::to_string(sl.flow_cache_hits + sl.flow_cache_misses);
-      if (sl.kernel_pkts + sl.kernel_fallback_pkts != 0)
-        line += " kr=" + std::to_string(sl.kernel_pkts) + "/" +
-                std::to_string(sl.kernel_pkts + sl.kernel_fallback_pkts);
-      if (sl.stream_pkts != 0)
-        line += " st=" + std::to_string(sl.stream_pkts);
+    for (std::size_t s = 0; s < report.shard_loads.size(); ++s) {
+      const Dataplane::ShardCounters& c = report.shard_loads[s].counters;
+      line += " | s" + std::to_string(s) + " q=" +
+              std::to_string(c.queue_depth) + " busy=" +
+              std::to_string(report.shard_loads[s].busy_ns_delta / 1000) +
+              "us";
+      if (c.flow_cache_hits + c.flow_cache_misses != 0)
+        line += " fc=" + std::to_string(c.flow_cache_hits) + "/" +
+                std::to_string(c.flow_cache_hits + c.flow_cache_misses);
+      if (c.kernel_pkts + c.kernel_fallback_pkts != 0)
+        line += " kr=" + std::to_string(c.kernel_pkts) + "/" +
+                std::to_string(c.kernel_pkts + c.kernel_fallback_pkts);
+      if (c.stream_pkts != 0) line += " st=" + std::to_string(c.stream_pkts);
     }
     if (report.producer_stalls != 0)
       line += " | stalls " + std::to_string(report.producer_stalls) +

@@ -4,8 +4,9 @@
 // tenants are added, rebalanced and reconfigured live; this controller is
 // the long-running harness that drives those levers.  A periodic tick
 //
-//   1. reads DataplaneStats through the *relaxed* (non-quiescing) path —
-//      the tick observes load without ever stalling ingress;
+//   1. reads the dataplane's counters through the *relaxed*
+//      (non-quiescing) accessors — the tick observes load without ever
+//      stalling ingress;
 //   2. folds the offered load (packet delta since the previous tick) into
 //      an EWMA and resizes the shard replica set at an epoch boundary
 //      when the smoothed load leaves the configured per-shard band
@@ -111,28 +112,12 @@ class Controller {
   /// Stops and joins it (idempotent; also run by the destructor).
   void Stop();
 
-  /// One shard's utilisation as observed by a tick (relaxed reads):
-  /// ring occupancy now, and busy time accumulated since the last tick.
+  /// One shard's utilisation as observed by a tick (relaxed reads): its
+  /// row (ring occupancy now, flow-cache, kernel and streaming counts),
+  /// and the busy time accumulated since the last tick.
   struct ShardLoad {
-    std::size_t shard = 0;
-    u64 queue_depth = 0;
+    Dataplane::ShardCounters counters;
     u64 busy_ns_delta = 0;
-    /// Flow-verdict cache activity (cumulative hits/misses, current
-    /// occupancy) — the tick log's view of how much of the shard's load
-    /// the memoization path absorbs.
-    u64 flow_cache_hits = 0;
-    u64 flow_cache_misses = 0;
-    u64 flow_cache_occupancy = 0;
-    /// Specialized-kernel dispatch (cumulative): packets run by a
-    /// straight-line kernel vs interpreted fallback — the tick log's
-    /// view of how much of the shard's uncached load the kernels take.
-    u64 kernel_pkts = 0;
-    u64 kernel_fallback_pkts = 0;
-    /// Streaming path (cumulative): packets run to completion, and
-    /// producer pushes (Submit or SubmitStream) that found the shard's
-    /// ingress ring full.
-    u64 stream_pkts = 0;
-    u64 producer_stalls = 0;
   };
 
   /// One tenant's merged p99 packet latency as observed by a tick
@@ -160,8 +145,9 @@ class Controller {
     /// and the ingress ring depth after any adaptive adjustment.
     u64 producer_stalls = 0;
     std::size_t queue_depth = 0;
-    /// Per-shard queue depth + busy time (groundwork for the per-shard
-    /// utilisation scaling policy); logged to cfg.log_sink when set.
+    /// Per-shard rows + busy time (groundwork for the per-shard
+    /// utilisation scaling policy), indexed by shard; logged to
+    /// cfg.log_sink when set.
     std::vector<ShardLoad> shard_loads;
     /// Per-tenant p99 latency from the telemetry histograms (empty when
     /// histograms are disabled or no tenant has samples yet); appended

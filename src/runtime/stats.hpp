@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "common/exec_tier.hpp"
 #include "compiler/allocation.hpp"
 #include "dataplane/dataplane.hpp"
 #include "pipeline/pipeline.hpp"
@@ -47,104 +46,9 @@ struct ModuleStats {
 
 // --- Sharded dataplane statistics ---------------------------------------------
 
-/// One shard replica's traffic totals.
-struct ShardStats {
-  std::size_t shard = 0;
-  u64 batches = 0;
-  u64 packets = 0;
-  u64 forwarded = 0;
-  u64 dropped = 0;
-  u64 filtered = 0;
-  /// Ingress-ring occupancy (sub-batches waiting) at snapshot time and
-  /// cumulative worker busy time — the controller's per-shard
-  /// utilisation signals (groundwork for per-shard-utilisation scaling).
-  u64 queue_depth = 0;
-  u64 busy_ns = 0;
-  /// Flow-verdict cache counters for this replica (hits, misses,
-  /// evictions and admission rejects are cumulative; occupancy is the
-  /// instantaneous valid-slot count).
-  u64 flow_cache_hits = 0;
-  u64 flow_cache_misses = 0;
-  u64 flow_cache_evictions = 0;
-  u64 flow_cache_rejects = 0;
-  u64 flow_cache_occupancy = 0;
-  /// Specialized-kernel dispatch counters for this replica
-  /// (pipeline/kernels.hpp): straight-line-kernel packets, interpreted
-  /// fallback packets (wide/ternary rows), flow-cache misses resolved by
-  /// kernel steps.
-  u64 kernel_pkts = 0;
-  u64 kernel_fallback_pkts = 0;
-  u64 kernel_record_fills = 0;
-  /// Streaming (run-to-completion) path: bursts and packets executed,
-  /// packets emitted to this shard's egress queue, egress occupancy at
-  /// snapshot time, and producer pushes that found the ring full.
-  u64 stream_bursts = 0;
-  u64 stream_pkts = 0;
-  u64 egress_pkts = 0;
-  u64 egress_depth = 0;
-  u64 producer_stalls = 0;
-
-  [[nodiscard]] double flow_cache_hit_ratio() const {
-    const u64 probes = flow_cache_hits + flow_cache_misses;
-    return probes == 0
-               ? 0.0
-               : static_cast<double>(flow_cache_hits) /
-                     static_cast<double>(probes);
-  }
-};
-
-/// One tenant's totals plus the shard its traffic is steered to, and
-/// the execution-ladder facts of its compiled row: why (if at all) the
-/// flow-verdict cache is blocked for it, and which tier its module runs
-/// take.
-struct TenantStats {
-  ModuleId tenant;
-  std::size_t shard = 0;
-  u64 forwarded = 0;
-  u64 dropped = 0;
-  FlowCacheBlocker flow_blocker = FlowCacheBlocker::kNone;
-  /// The top tier of the tenant's row: the flow cache for a cacheable
-  /// row (its misses run the compiled steps), the compiled steps, or the
-  /// interpreted plan for a row with a wide or ternary probe.
-  ExecTier tier = ExecTier::kNone;
-  /// p99 packet latency (ns) from the telemetry histograms, merged
-  /// across shards and both paths; 0 when the tenant has no samples
-  /// (or histograms are disabled).  The adversarial-isolation suite's
-  /// measured bound.
-  u64 p99_ns = 0;
-};
-
-/// One pipeline stage's match-path counters, aggregated across shard
-/// replicas.  Lookups count CAM probes (exact: indexed or one-word;
-/// ternary: narrowed scan); the hit ratio is the operator's view of how
-/// much traffic actually matches per stage.
-struct StageMatchStats {
-  std::size_t stage = 0;
-  u64 cam_lookups = 0;
-  u64 cam_hits = 0;
-  u64 tcam_lookups = 0;
-  u64 tcam_hits = 0;
-
-  [[nodiscard]] double cam_hit_ratio() const {
-    return cam_lookups == 0
-               ? 0.0
-               : static_cast<double>(cam_hits) /
-                     static_cast<double>(cam_lookups);
-  }
-  [[nodiscard]] double tcam_hit_ratio() const {
-    return tcam_lookups == 0
-               ? 0.0
-               : static_cast<double>(tcam_hits) /
-                     static_cast<double>(tcam_lookups);
-  }
-};
-
-struct DataplaneStats {
-  std::vector<ShardStats> shards;
-  std::vector<TenantStats> tenants;  // sorted by tenant ID
-  /// Per-stage match-path counters, aggregated across shards.
-  std::vector<StageMatchStats> match_stages;
-  u64 total_packets = 0;
+/// The exact dataplane view: every row family from one quiesce
+/// (Dataplane::QuiescedStats) plus the control-plane counters.
+struct DataplaneStats : Dataplane::QuiescedStats {
   u64 writes_broadcast = 0;
   /// Committed configuration epoch (bumped by Dataplane::CommitEpoch).
   u64 epoch = 0;
@@ -156,28 +60,72 @@ struct DataplaneStats {
   u64 resizes = 0;
   /// Worker threads running shard replicas (0 = sequential engine).
   std::size_t workers = 0;
-  /// True when this snapshot was taken through the relaxed (non-quiescing)
-  /// path: counters are monotonic and at most one in-flight sub-batch
-  /// behind the exact totals.
-  bool relaxed = false;
 };
 
-/// Aggregates per-shard and per-tenant throughput/drop counters.
-/// Quiesces the engine (drains in-flight work) so totals are exact and
-/// batch-consistent — the operator's audit view.
+/// One per-shard counter, declared once: its Prometheus family, its
+/// column in DumpDataplaneStats' shard table, and the ShardCounters
+/// member both read.
+struct ShardMetric {
+  const char* family;
+  const char* column;
+  u64 Dataplane::ShardCounters::*field;
+};
+
+/// Every exported per-shard counter, in export and column order.
+/// Adding a shard counter is one ShardCounters field plus one line here.
+/// The derived flow_cache_burst_* fields have no line: their values are
+/// the hits and misses lines.
+inline constexpr ShardMetric kShardMetrics[] = {
+    {"menshen_shard_packets_total", "packets",
+     &Dataplane::ShardCounters::packets},
+    {"menshen_shard_forwarded_total", "fwd",
+     &Dataplane::ShardCounters::forwarded},
+    {"menshen_shard_dropped_total", "drop", &Dataplane::ShardCounters::dropped},
+    {"menshen_shard_filtered_total", "filt",
+     &Dataplane::ShardCounters::filtered},
+    {"menshen_shard_batches_total", "batches",
+     &Dataplane::ShardCounters::batches},
+    {"menshen_shard_queue_depth", "queue",
+     &Dataplane::ShardCounters::queue_depth},
+    {"menshen_shard_busy_ns_total", "busy_ns",
+     &Dataplane::ShardCounters::busy_ns},
+    {"menshen_flow_cache_hits_total", "fc_hit",
+     &Dataplane::ShardCounters::flow_cache_hits},
+    {"menshen_flow_cache_misses_total", "fc_miss",
+     &Dataplane::ShardCounters::flow_cache_misses},
+    {"menshen_flow_cache_evictions_total", "fc_ev",
+     &Dataplane::ShardCounters::flow_cache_evictions},
+    {"menshen_flow_cache_rejects_total", "fc_rej",
+     &Dataplane::ShardCounters::flow_cache_rejects},
+    {"menshen_flow_cache_occupancy", "fc_occ",
+     &Dataplane::ShardCounters::flow_cache_occupancy},
+    {"menshen_kernel_pkts_total", "kernel",
+     &Dataplane::ShardCounters::kernel_pkts},
+    {"menshen_kernel_fallback_pkts_total", "interp",
+     &Dataplane::ShardCounters::kernel_fallback_pkts},
+    {"menshen_kernel_record_fills_total", "fills",
+     &Dataplane::ShardCounters::kernel_record_fills},
+    {"menshen_stream_bursts_total", "sbursts",
+     &Dataplane::ShardCounters::stream_bursts},
+    {"menshen_stream_pkts_total", "spkts",
+     &Dataplane::ShardCounters::stream_pkts},
+    {"menshen_egress_pkts_total", "epkts",
+     &Dataplane::ShardCounters::egress_pkts},
+    {"menshen_egress_depth", "eq", &Dataplane::ShardCounters::egress_depth},
+    {"menshen_producer_stalls_total", "stalls",
+     &Dataplane::ShardCounters::producer_stalls},
+};
+
+/// Aggregates per-shard, per-tenant and per-stage counters under one
+/// quiesce (drains in-flight work), so totals are exact and
+/// batch-consistent — the operator's audit view.  The controller and the
+/// rebalancer read the relaxed accessors instead
+/// (Dataplane::CountersSnapshotRelaxed, total_packets_relaxed,
+/// forwarded_relaxed), which never stall ingress.
 [[nodiscard]] DataplaneStats CollectDataplaneStats(const Dataplane& dp);
 
-/// Relaxed variant for the periodic control-plane tick: reads only the
-/// dataplane's monotonic relaxed counters, so collecting it never stalls
-/// ingress.  Shard/tenant totals may each lag by at most one in-flight
-/// sub-batch (and `forwarded+dropped+filtered` may momentarily trail
-/// `packets` within a shard row); they converge to the exact values as
-/// soon as the workers go idle.  Good enough for load tracking
-/// (runtime/controller, Rebalancer EWMA) — use CollectDataplaneStats for
-/// exact audits.
-[[nodiscard]] DataplaneStats CollectDataplaneStatsRelaxed(const Dataplane& dp);
-
 /// Renders the dataplane counters — the operator's `show dataplane` view.
+/// Per-shard lines name live shards only.
 [[nodiscard]] std::string DumpDataplaneStats(const Dataplane& dp);
 
 }  // namespace menshen

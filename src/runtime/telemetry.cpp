@@ -212,13 +212,6 @@ void Telemetry::RecordStream(std::size_t shard, u16 vid, u64 ns, u64 n) {
   if (LatencyHistogram* h = TenantHist(*s, vid)) h->RecordN(ns, n);
 }
 
-void Telemetry::CountTier(std::size_t shard, u8 tier, u64 n) {
-  if (shard >= kMaxShards || tier >= kExecTierCount) return;
-  Slot* s = slot(shard);
-  if (s == nullptr) return;
-  s->tier_pkts[tier].Add(n);
-}
-
 bool Telemetry::SampleTick(std::size_t shard) {
   if (shard >= kMaxShards) return false;
   Slot* s = slot(shard);
@@ -272,9 +265,6 @@ TelemetrySnapshot Telemetry::Snapshot() const {
     if (s != nullptr) {
       st.batched = s->batched.Snapshot();
       st.stream = s->stream.Snapshot();
-      for (int t = 0; t < kExecTierCount; ++t)
-        st.tier_pkts[static_cast<std::size_t>(t)] =
-            s->tier_pkts[static_cast<std::size_t>(t)].load();
       st.trace_samples = s->trace_samples.load();
       st.trace_drops = s->trace_drops.load();
       for (std::size_t vid = 0; vid < s->tenants.size(); ++vid) {

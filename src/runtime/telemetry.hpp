@@ -14,9 +14,10 @@
 //   paths — mutually excluded by the dataplane's gates and per-shard
 //   mutexes); drops when full, never blocks, never allocates.
 // * Telemetry — per-shard slots (batched + streaming histograms,
-//   per-tenant lazily allocated histograms, trace ring, per-tier
-//   counters) installed lock-free behind atomic pointers so shard
-//   growth never stalls a recording worker.
+//   per-tenant lazily allocated histograms, trace ring) installed
+//   lock-free behind atomic pointers so shard growth never stalls a
+//   recording worker.  A slot outlives a shrink: a shard that is grown
+//   again keeps its slot's earlier samples.
 //
 // Timestamps use the TSC when available (one rdtsc per batch/burst at
 // Submit, one at completion) with a once-per-process calibration
@@ -34,7 +35,6 @@
 #include <vector>
 
 #include "common/counters.hpp"
-#include "common/exec_tier.hpp"
 #include "common/types.hpp"
 
 namespace menshen {
@@ -169,7 +169,6 @@ struct TelemetryConfig {
 struct ShardTelemetry {
   HistogramSnapshot batched;
   HistogramSnapshot stream;
-  std::array<u64, kExecTierCount> tier_pkts{};
   u64 trace_samples = 0;
   u64 trace_drops = 0;
 };
@@ -216,8 +215,6 @@ class Telemetry {
   void RecordBatched(std::size_t shard, u16 vid, u64 ns, u64 n);
   /// Streaming-path sibling.
   void RecordStream(std::size_t shard, u16 vid, u64 ns, u64 n);
-  /// Per-tier packet accounting (histogram-gated; one relaxed add).
-  void CountTier(std::size_t shard, u8 tier, u64 n);
   /// Decrements the shard's sampling countdown; true on the Nth call.
   /// Only call when sample_every() != 0.
   [[nodiscard]] bool SampleTick(std::size_t shard);
@@ -246,7 +243,6 @@ class Telemetry {
     std::vector<std::atomic<LatencyHistogram*>> tenants;
     TraceRing ring;
     std::atomic<u64> sample_countdown{0};
-    std::array<RelaxedCounter, kExecTierCount> tier_pkts{};
     RelaxedCounter trace_samples;
     RelaxedCounter trace_drops;
   };

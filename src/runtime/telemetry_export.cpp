@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/exec_tier.hpp"
+
 namespace menshen {
 namespace {
 
@@ -92,50 +94,30 @@ std::vector<MetricSample> BuildMetricSamples(const DataplaneStats& s,
   b.Add("menshen_resizes_total", static_cast<double>(s.resizes));
   b.Add("menshen_workers", static_cast<double>(s.workers));
   b.Add("menshen_shards", static_cast<double>(s.shards.size()));
-  b.Add("menshen_stats_relaxed", s.relaxed ? 1.0 : 0.0);
 
-  // --- per-shard traffic / ladder / streaming counters -------------------
-  for (const ShardStats& sh : s.shards) {
-    const std::vector<std::pair<std::string, std::string>> l = {
-        {"shard", Idx(sh.shard)}};
-    auto add = [&b, &l](const char* name, u64 v) {
-      b.Add(name, l, static_cast<double>(v));
-    };
-    add("menshen_shard_batches_total", sh.batches);
-    add("menshen_shard_packets_total", sh.packets);
-    add("menshen_shard_forwarded_total", sh.forwarded);
-    add("menshen_shard_dropped_total", sh.dropped);
-    add("menshen_shard_filtered_total", sh.filtered);
-    add("menshen_shard_queue_depth", sh.queue_depth);
-    add("menshen_shard_busy_ns_total", sh.busy_ns);
-    add("menshen_flow_cache_hits_total", sh.flow_cache_hits);
-    add("menshen_flow_cache_misses_total", sh.flow_cache_misses);
-    add("menshen_flow_cache_evictions_total", sh.flow_cache_evictions);
-    add("menshen_flow_cache_rejects_total", sh.flow_cache_rejects);
-    add("menshen_flow_cache_occupancy", sh.flow_cache_occupancy);
-    add("menshen_kernel_pkts_total", sh.kernel_pkts);
-    add("menshen_kernel_fallback_pkts_total", sh.kernel_fallback_pkts);
-    add("menshen_kernel_record_fills_total", sh.kernel_record_fills);
-    add("menshen_stream_bursts_total", sh.stream_bursts);
-    add("menshen_stream_pkts_total", sh.stream_pkts);
-    add("menshen_egress_pkts_total", sh.egress_pkts);
-    add("menshen_egress_depth", sh.egress_depth);
-    add("menshen_producer_stalls_total", sh.producer_stalls);
-  }
+  // --- per-shard rows: one family per kShardMetrics line -------------------
+  for (const ShardMetric& m : kShardMetrics)
+    for (std::size_t i = 0; i < s.shards.size(); ++i)
+      b.Add(m.family, {{"shard", Idx(i)}},
+            static_cast<double>(s.shards[i].*m.field));
 
-  // --- per-shard telemetry: latency, tiers, traces ------------------------
-  for (std::size_t i = 0; i < tel.shards.size(); ++i) {
+  // --- per live shard: latency, tiers, traces -----------------------------
+  // Telemetry slots outlive a shrink; only live shards get rows, while
+  // the *_all totals below merge every slot.
+  for (std::size_t i = 0; i < s.shards.size(); ++i) {
+    const std::array<u64, kExecTierCount> tier_pkts = s.shards[i].TierPkts();
+    for (u8 t = 1; t < kExecTierCount; ++t) {
+      if (tier_pkts[t] == 0) continue;
+      b.Add("menshen_exec_tier_pkts_total",
+            {{"shard", Idx(i)}, {"tier", ExecTierName(t)}},
+            static_cast<double>(tier_pkts[t]));
+    }
+    if (i >= tel.shards.size()) continue;
     const ShardTelemetry& st = tel.shards[i];
-    AddQuantiles(b, "menshen_latency",
-                 {{"shard", Idx(i)}, {"path", "batched"}}, st.batched);
+    AddQuantiles(b, "menshen_latency", {{"shard", Idx(i)}, {"path", "batched"}},
+                 st.batched);
     AddQuantiles(b, "menshen_latency", {{"shard", Idx(i)}, {"path", "stream"}},
                  st.stream);
-    for (std::size_t t = 1; t < st.tier_pkts.size(); ++t) {
-      if (st.tier_pkts[t] == 0) continue;
-      b.Add("menshen_exec_tier_pkts_total",
-            {{"shard", Idx(i)}, {"tier", ExecTierName(static_cast<u8>(t))}},
-            static_cast<double>(st.tier_pkts[t]));
-    }
     if (st.trace_samples != 0)
       b.Add("menshen_trace_samples_total", {{"shard", Idx(i)}},
             static_cast<double>(st.trace_samples));
@@ -149,7 +131,7 @@ std::vector<MetricSample> BuildMetricSamples(const DataplaneStats& s,
                tel.stream_total);
 
   // --- per-tenant --------------------------------------------------------
-  for (const TenantStats& t : s.tenants) {
+  for (const Dataplane::TenantCounts& t : s.tenants) {
     const std::vector<std::pair<std::string, std::string>> l = {
         {"tenant", Idx(t.tenant.value())}};
     b.Add("menshen_tenant_forwarded_total", l,
@@ -165,9 +147,10 @@ std::vector<MetricSample> BuildMetricSamples(const DataplaneStats& s,
   }
 
   // --- match stages --------------------------------------------------------
-  for (const StageMatchStats& ms : s.match_stages) {
+  for (std::size_t i = 0; i < s.match_stages.size(); ++i) {
+    const Dataplane::StageMatchCounters& ms = s.match_stages[i];
     const std::vector<std::pair<std::string, std::string>> l = {
-        {"stage", Idx(ms.stage)}};
+        {"stage", Idx(i)}};
     b.Add("menshen_stage_cam_lookups_total", l,
           static_cast<double>(ms.cam_lookups));
     b.Add("menshen_stage_cam_hits_total", l, static_cast<double>(ms.cam_hits));

@@ -5,8 +5,10 @@
 // uses to assert on individual samples).
 //
 // One sample list (BuildMetricSamples) feeds both renderers, so the
-// two formats can never drift apart.  Metric names are stable API —
-// the README "Observability" section lists every family.
+// two formats can never drift apart.  The per-shard counter families
+// come from kShardMetrics (runtime/stats.hpp), the table
+// DumpDataplaneStats' shard table reads too.  Metric names are stable
+// API — the README "Observability" section lists every family.
 #pragma once
 
 #include <string>

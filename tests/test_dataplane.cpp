@@ -302,7 +302,7 @@ TEST(Dataplane, StatsAggregatePerShardAndPerTenant) {
   EXPECT_EQ(stats.shards.size(), 3u);
 
   u64 packets = 0, forwarded = 0;
-  for (const ShardStats& s : stats.shards) {
+  for (const Dataplane::ShardCounters& s : stats.shards) {
     packets += s.packets;
     forwarded += s.forwarded;
   }
@@ -310,7 +310,7 @@ TEST(Dataplane, StatsAggregatePerShardAndPerTenant) {
   EXPECT_GT(forwarded, 0u);
 
   ASSERT_EQ(stats.tenants.size(), Tenants().size());
-  for (const TenantStats& t : stats.tenants) {
+  for (const Dataplane::TenantCounts& t : stats.tenants) {
     EXPECT_EQ(t.shard, dp.ShardFor(t.tenant));
     EXPECT_EQ(t.forwarded, dp.forwarded(t.tenant));
     // CALC and NetChain rows are not flow-cacheable and probe one-word

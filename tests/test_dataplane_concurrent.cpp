@@ -156,9 +156,13 @@ TEST(DataplaneConcurrent, WorkerPoolMatchesSequentialShardedPath) {
   ASSERT_EQ(ra.size(), rb.size());
   for (std::size_t i = 0; i < ra.size(); ++i) ExpectSameResult(ra[i], rb[i], i);
 
+  const std::vector<Dataplane::ShardCounters> seq_rows =
+      seq.CountersSnapshotRelaxed();
+  const std::vector<Dataplane::ShardCounters> mt_rows =
+      mt.CountersSnapshotRelaxed();
   for (std::size_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(seq.shard_counters(s).packets, mt.shard_counters(s).packets);
-    EXPECT_EQ(seq.shard_counters(s).forwarded, mt.shard_counters(s).forwarded);
+    EXPECT_EQ(seq_rows[s].packets, mt_rows[s].packets);
+    EXPECT_EQ(seq_rows[s].forwarded, mt_rows[s].forwarded);
   }
 }
 
@@ -329,9 +333,16 @@ TEST(DataplaneConcurrent, StressConcurrentBatchesEpochsAndRebalancing) {
 
   std::atomic<bool> data_done{false};
   std::atomic<u64> processed{0};
+  // The data thread holds its second half until the control thread has
+  // committed an epoch and moved a tenant, so the churn always lands
+  // mid-run however the threads are scheduled.
+  std::atomic<bool> churned{false};
 
   std::thread data([&] {
     for (int b = 0; b < kBatches; ++b) {
+      if (b == kBatches / 2)
+        while (!churned.load(std::memory_order_acquire))
+          std::this_thread::yield();
       std::vector<Packet> batch = trace;
       processed += dp.ProcessBatch(std::move(batch)).size();
     }
@@ -347,6 +358,7 @@ TEST(DataplaneConcurrent, StressConcurrentBatchesEpochsAndRebalancing) {
       // Steering churn: alternate a tenant between two shards, and let
       // the stats-driven policy run against live counters.
       dp.MigrateTenant(ModuleId(4), static_cast<std::size_t>(flip++ % 2));
+      if (dp.migrations() != 0) churned.store(true, std::memory_order_release);
       rebalancer.Rebalance(dp);
       const DataplaneStats stats = CollectDataplaneStats(dp);
       (void)stats;

@@ -351,6 +351,7 @@ void RunFourProducersConcurrentEpochsAndMigrations(bool worker_threads) {
   // Control thread: epoch churn + migration churn while tickets fly.
   std::thread control([&] {
     u64 flip = 0;
+    u64 last_total = 0;
     while (producers_done.load() < kProducers) {
       for (const CompiledModule& m : images) dp.StageWrites(m.AllWrites());
       dp.CommitEpoch();
@@ -360,8 +361,14 @@ void RunFourProducersConcurrentEpochsAndMigrations(bool worker_threads) {
       dp.MigrateTenant(ModuleId(vid), flip % dp.num_shards());
       ++flip;
       if (dp.migrations() != 0) churned.store(true, std::memory_order_release);
-      const DataplaneStats stats = CollectDataplaneStatsRelaxed(dp);
-      EXPECT_TRUE(stats.relaxed);
+      // The controller tick's relaxed reads race the churn without
+      // draining: one row per shard, a packet total that never falls.
+      EXPECT_EQ(dp.CountersSnapshotRelaxed().size(), 4u);
+      for (const ModuleId t : dp.ActiveTenantsRelaxed())
+        (void)dp.DescribeTenantRow(t);
+      const u64 total = dp.total_packets_relaxed();
+      EXPECT_GE(total, last_total);
+      last_total = total;
       std::this_thread::yield();
     }
   });
@@ -399,21 +406,21 @@ TEST(Ingress, RelaxedStatsAgreeWithExactWhenQuiescent) {
   (void)dp.ProcessBatch(std::move(batch));
 
   const DataplaneStats exact = CollectDataplaneStats(dp);
-  const DataplaneStats relaxed = CollectDataplaneStatsRelaxed(dp);
-  EXPECT_FALSE(exact.relaxed);
-  EXPECT_TRUE(relaxed.relaxed);
-  EXPECT_EQ(exact.total_packets, relaxed.total_packets);
-  ASSERT_EQ(exact.shards.size(), relaxed.shards.size());
+  const std::vector<Dataplane::ShardCounters> relaxed =
+      dp.CountersSnapshotRelaxed();
+  EXPECT_EQ(exact.total_packets, dp.total_packets_relaxed());
+  ASSERT_EQ(exact.shards.size(), relaxed.size());
   for (std::size_t s = 0; s < exact.shards.size(); ++s) {
-    EXPECT_EQ(exact.shards[s].packets, relaxed.shards[s].packets);
-    EXPECT_EQ(exact.shards[s].forwarded, relaxed.shards[s].forwarded);
-    EXPECT_EQ(exact.shards[s].dropped, relaxed.shards[s].dropped);
+    EXPECT_EQ(exact.shards[s].packets, relaxed[s].packets);
+    EXPECT_EQ(exact.shards[s].forwarded, relaxed[s].forwarded);
+    EXPECT_EQ(exact.shards[s].dropped, relaxed[s].dropped);
   }
-  ASSERT_EQ(exact.tenants.size(), relaxed.tenants.size());
+  const std::vector<ModuleId> active = dp.ActiveTenantsRelaxed();
+  ASSERT_EQ(exact.tenants.size(), active.size());
   for (std::size_t i = 0; i < exact.tenants.size(); ++i) {
-    EXPECT_EQ(exact.tenants[i].tenant, relaxed.tenants[i].tenant);
-    EXPECT_EQ(exact.tenants[i].forwarded, relaxed.tenants[i].forwarded);
-    EXPECT_EQ(exact.tenants[i].dropped, relaxed.tenants[i].dropped);
+    EXPECT_EQ(exact.tenants[i].tenant, active[i]);
+    EXPECT_EQ(exact.tenants[i].forwarded, dp.forwarded_relaxed(active[i]));
+    EXPECT_EQ(exact.tenants[i].dropped, dp.dropped_relaxed(active[i]));
   }
   for (const TenantApp& t : Tenants()) {
     EXPECT_EQ(dp.forwarded(ModuleId(t.vid)),

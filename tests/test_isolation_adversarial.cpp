@@ -386,7 +386,8 @@ TEST(Adversarial, FloodingTenantCannotMoveVictimTailLatency) {
   // flooding oversized batches (and thrashing its own configuration)
   // on its own shard must not move a victim tenant's p99 packet
   // latency.  Uses the runtime/telemetry histograms through
-  // TenantStats::p99_ns — the same surface the controller tick logs.
+  // Dataplane::TenantCounts::p99_ns — the same surface the controller
+  // tick logs.
   Dataplane dp(DataplaneConfig{.num_shards = 2, .worker_threads = false});
   {
     const auto alloc = StandardAlloc(2);
@@ -446,10 +447,10 @@ TEST(Adversarial, FloodingTenantCannotMoveVictimTailLatency) {
       << attacked_p99 << " ns";
 
   // The stats plumbing reports the same surface: both tenants have a
-  // nonzero p99_ns on their TenantStats rows.
+  // nonzero p99_ns on their tenant rows.
   const DataplaneStats stats = CollectDataplaneStats(dp);
   bool saw_victim = false, saw_attacker = false;
-  for (const TenantStats& t : stats.tenants) {
+  for (const Dataplane::TenantCounts& t : stats.tenants) {
     if (t.tenant.value() == 2) {
       saw_victim = true;
       EXPECT_GT(t.p99_ns, 0u);

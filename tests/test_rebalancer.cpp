@@ -378,7 +378,7 @@ TEST(Rebalancer, StatsReflectMigratedSteering) {
   const DataplaneStats stats = CollectDataplaneStats(dp);
   EXPECT_EQ(stats.migrations, 1u);
   bool found = false;
-  for (const TenantStats& t : stats.tenants) {
+  for (const Dataplane::TenantCounts& t : stats.tenants) {
     if (t.tenant != ModuleId(2)) continue;
     found = true;
     EXPECT_EQ(t.shard, target);

@@ -9,6 +9,7 @@
 #include <array>
 #include <atomic>
 #include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -277,9 +278,8 @@ TEST(DataplaneTelemetry, BatchedPathFillsHistogramsAndTiers) {
   EXPECT_GT(s.batched_total.p50(), 0u);
   EXPECT_EQ(s.stream_total.count, 0u);
   u64 tier_pkts = 0;
-  for (const ShardTelemetry& sh : s.shards)
-    for (std::size_t i = 1; i < sh.tier_pkts.size(); ++i)
-      tier_pkts += sh.tier_pkts[i];
+  for (const Dataplane::ShardCounters& sh : dp.CountersSnapshot())
+    for (const u64 n : sh.TierPkts()) tier_pkts += n;
   EXPECT_EQ(tier_pkts, 256u);
   EXPECT_EQ(dp.telemetry().TenantSnapshot(2).count, 256u);
   EXPECT_GT(dp.telemetry().TenantP99(2), 0u);
@@ -320,7 +320,8 @@ TEST(DataplaneTelemetry, DisabledHistogramsRecordNothing) {
   EXPECT_EQ(dp.telemetry().TenantP99(2), 0u);
   // The stats layer reports p99 = 0 rather than inventing a number.
   const DataplaneStats stats = CollectDataplaneStats(dp);
-  for (const TenantStats& t : stats.tenants) EXPECT_EQ(t.p99_ns, 0u);
+  for (const Dataplane::TenantCounts& t : stats.tenants)
+    EXPECT_EQ(t.p99_ns, 0u);
 }
 
 TEST(DataplaneTelemetry, SamplingCapturesBothPaths) {
@@ -515,15 +516,15 @@ TEST(DataplaneTelemetry, RelaxedStatsMonotoneUnderStreamingChurn) {
 
   u64 last_total = 0, last_stream = 0, last_hist = 0;
   for (int round = 0; round < 200; ++round) {
-    const DataplaneStats s = CollectDataplaneStatsRelaxed(dp);
-    EXPECT_TRUE(s.relaxed);
+    const u64 total = dp.total_packets_relaxed();
     u64 stream_pkts = 0;
-    for (const ShardStats& sh : s.shards) stream_pkts += sh.stream_pkts;
+    for (const Dataplane::ShardCounters& sh : dp.CountersSnapshotRelaxed())
+      stream_pkts += sh.stream_pkts;
     const u64 hist = dp.telemetry().Snapshot().stream_total.count;
-    ASSERT_GE(s.total_packets, last_total);
+    ASSERT_GE(total, last_total);
     ASSERT_GE(stream_pkts, last_stream);
     ASSERT_GE(hist, last_hist);
-    last_total = s.total_packets;
+    last_total = total;
     last_stream = stream_pkts;
     last_hist = hist;
     std::this_thread::yield();
@@ -619,6 +620,168 @@ TEST(TelemetryExport, JsonContainsEverySample) {
   const std::string json = RenderJson(stats, tel);
   for (const MetricSample& m : BuildMetricSamples(stats, tel))
     EXPECT_NE(json.find("\"" + m.name + "\""), std::string::npos) << m.name;
+}
+
+/// Three tenants, one per execution tier: a flow-cacheable tag router
+/// (vid 6), CALC on the compiled steps (vid 2) and the wide-key load
+/// balancer on the interpreted plan (vid 4).
+void LoadThreeTiers(Dataplane& dp) {
+  LoadCalc(dp, 2);
+  dp.ApplyWrites(
+      test::MakeTagRouter(StandardAlloc(6, 8, 4, 32), 40, 3).AllWrites());
+  CompiledModule lb =
+      MustCompile(apps::LoadBalanceSpec(), StandardAlloc(4, 12, 4, 64));
+  apps::InstallLoadBalanceEntries(lb, {{0x0A000001, 0x0B000001, 1111, 80, 5}});
+  dp.ApplyWrites(lb.AllWrites());
+}
+
+std::vector<Packet> ThreeTierBatch() {
+  std::vector<Packet> batch;
+  for (u16 i = 0; i < 96; ++i) {
+    batch.push_back(test::TagRouterPacket(6, i % 4));
+    batch.push_back(CalcPacket(2, 1, 7, i));
+    batch.push_back(PacketBuilder{}
+                        .vid(ModuleId(4))
+                        .ipv4(0x0A000001, 0x0B000001)
+                        .udp(1111, 80)
+                        .Build());
+  }
+  return batch;
+}
+
+TEST(TelemetryExport, ShardRowsCoverEveryTableLine) {
+  // Every per-shard family the exporter has always carried; a table
+  // that loses a line loses its family here.
+  const std::vector<std::string> expected = {
+      "menshen_shard_batches_total",        "menshen_shard_packets_total",
+      "menshen_shard_forwarded_total",      "menshen_shard_dropped_total",
+      "menshen_shard_filtered_total",       "menshen_shard_queue_depth",
+      "menshen_shard_busy_ns_total",        "menshen_flow_cache_hits_total",
+      "menshen_flow_cache_misses_total",    "menshen_flow_cache_evictions_total",
+      "menshen_flow_cache_rejects_total",   "menshen_flow_cache_occupancy",
+      "menshen_kernel_pkts_total",          "menshen_kernel_fallback_pkts_total",
+      "menshen_kernel_record_fills_total",  "menshen_stream_bursts_total",
+      "menshen_stream_pkts_total",          "menshen_egress_pkts_total",
+      "menshen_egress_depth",               "menshen_producer_stalls_total"};
+  std::vector<std::string> families;
+  for (const ShardMetric& m : kShardMetrics) families.emplace_back(m.family);
+  EXPECT_EQ(std::multiset<std::string>(families.begin(), families.end()),
+            std::multiset<std::string>(expected.begin(), expected.end()));
+  // Every ShardCounters field but the two derived burst fields has
+  // exactly one line.
+  std::vector<u64 Dataplane::ShardCounters::*> fields;
+  for (const ShardMetric& m : kShardMetrics) {
+    EXPECT_EQ(std::count(fields.begin(), fields.end(), m.field), 0) << m.family;
+    fields.push_back(m.field);
+  }
+  EXPECT_EQ(fields.size() + 2,
+            sizeof(Dataplane::ShardCounters) / sizeof(u64));
+  for (u64 Dataplane::ShardCounters::*derived :
+       {&Dataplane::ShardCounters::flow_cache_burst_pkts,
+        &Dataplane::ShardCounters::flow_cache_burst_fallback})
+    EXPECT_EQ(std::count(fields.begin(), fields.end(), derived), 0);
+
+  Dataplane dp(DataplaneConfig{.num_shards = 2, .worker_threads = false});
+  LoadThreeTiers(dp);
+  (void)dp.ProcessBatch(ThreeTierBatch());
+  const DataplaneStats stats = CollectDataplaneStats(dp);
+  const TelemetrySnapshot tel = dp.telemetry().Snapshot();
+  const std::vector<MetricSample> samples = BuildMetricSamples(stats, tel);
+  const std::string json = RenderJson(stats, tel);
+  const std::string dump = DumpDataplaneStats(dp);
+  const std::size_t header_at = dump.find("  shard ");
+  const std::string header =
+      dump.substr(header_at, dump.find('\n', header_at) - header_at);
+  ASSERT_EQ(stats.shards.size(), 2u);
+
+  for (const ShardMetric& m : kShardMetrics) {
+    SCOPED_TRACE(m.family);
+    std::vector<const MetricSample*> rows;
+    for (const MetricSample& sample : samples)
+      if (sample.name == m.family) rows.push_back(&sample);
+    ASSERT_EQ(rows.size(), stats.shards.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      const std::string shard = std::to_string(i);
+      ASSERT_EQ(rows[i]->labels.size(), 1u);
+      EXPECT_EQ(rows[i]->labels[0],
+                (std::pair<std::string, std::string>{"shard", shard}));
+      const u64 value = stats.shards[i].*m.field;
+      EXPECT_EQ(rows[i]->value, static_cast<double>(value));
+      EXPECT_NE(json.find(std::string("{\"name\":\"") + m.family +
+                          "\",\"labels\":{\"shard\":\"" + shard +
+                          "\"},\"value\":" + std::to_string(value) + "}"),
+                std::string::npos);
+    }
+    EXPECT_NE(header.find(std::string(" ") + m.column), std::string::npos);
+  }
+
+  // The burst-lane fields are derived from hits and misses, on a run
+  // that used all three tiers.
+  std::array<u64, kExecTierCount> tiers{};
+  for (const Dataplane::ShardCounters& c : stats.shards) {
+    EXPECT_EQ(c.flow_cache_burst_pkts, c.flow_cache_hits + c.flow_cache_misses);
+    EXPECT_EQ(c.flow_cache_burst_fallback, c.flow_cache_misses);
+    const std::array<u64, kExecTierCount> t = c.TierPkts();
+    for (std::size_t k = 0; k < t.size(); ++k) tiers[k] += t[k];
+  }
+  EXPECT_GT(tiers[static_cast<u8>(ExecTier::kFlowCacheHit)], 0u);
+  EXPECT_GT(tiers[static_cast<u8>(ExecTier::kKernel)], 0u);
+  EXPECT_GT(tiers[static_cast<u8>(ExecTier::kInterpreted)], 0u);
+}
+
+TEST(TelemetryExport, TierRowsDoNotDependOnHistograms) {
+  std::vector<std::vector<MetricSample>> tier_rows;
+  for (const bool histograms : {false, true}) {
+    Dataplane dp(DataplaneConfig{
+        .num_shards = 2,
+        .worker_threads = false,
+        .telemetry = TelemetryConfig{.latency_histograms = histograms}});
+    LoadThreeTiers(dp);
+    (void)dp.ProcessBatch(ThreeTierBatch());
+    std::vector<MetricSample>& rows = tier_rows.emplace_back();
+    for (const MetricSample& m : BuildMetricSamples(
+             CollectDataplaneStats(dp), dp.telemetry().Snapshot()))
+      if (m.name == "menshen_exec_tier_pkts_total") rows.push_back(m);
+  }
+  EXPECT_EQ(tier_rows[0], tier_rows[1]);
+  double total = 0;
+  for (const MetricSample& m : tier_rows[0]) total += m.value;
+  EXPECT_EQ(total, static_cast<double>(ThreeTierBatch().size()));
+}
+
+TEST(TelemetryExport, ShrinkDropsDeadShardRows) {
+  Dataplane dp(DataplaneConfig{
+      .num_shards = 3,
+      .worker_threads = false,
+      .telemetry = TelemetryConfig{.latency_histograms = true,
+                                   .trace_sample_every = 4}});
+  LoadCalc(dp);
+  dp.MigrateTenant(ModuleId(2), 2);
+  (void)dp.ProcessBatch(std::vector<Packet>(64, CalcPacket(2, 1, 7, 5)));
+  ASSERT_NE(DumpDataplaneStats(dp).find("shard 2 latency"), std::string::npos);
+
+  ASSERT_EQ(dp.ResizeShards(2), 2u);
+  const DataplaneStats stats = CollectDataplaneStats(dp);
+  const TelemetrySnapshot tel = dp.telemetry().Snapshot();
+  const std::vector<MetricSample> samples = BuildMetricSamples(stats, tel);
+  double shards = -1;
+  double batched_all = 0;
+  for (const MetricSample& m : samples) {
+    if (m.name == "menshen_shards") shards = m.value;
+    if (m.name == "menshen_latency_count" && m.labels.size() == 1 &&
+        m.labels[0].second == "batched_all")
+      batched_all = m.value;
+  }
+  ASSERT_EQ(shards, 2.0);
+  for (const MetricSample& m : samples) {
+    for (const auto& [key, value] : m.labels) {
+      if (key != "shard") continue;
+      EXPECT_LT(std::stod(value), shards) << m.name;
+    }
+  }
+  // The totals still merge every slot, the dead shard's included.
+  EXPECT_EQ(batched_all, 64.0);
+  EXPECT_EQ(DumpDataplaneStats(dp).find("shard 2"), std::string::npos);
 }
 
 TEST(TelemetryExport, ParserSkipsCommentsAndMalformedLines) {
