@@ -106,15 +106,15 @@ Controller::TickReport Controller::TickOnce() {
   //    the previous tick), through the relaxed counters — the operator's
   //    tick log line, and the skew signal the rebalancing round below
   //    keys its aggressiveness off.
-  const std::vector<Dataplane::ShardCounters> shard_counters =
+  const std::vector<Dataplane::ShardCounters> rows =
       dp_.CountersSnapshotRelaxed();
-  last_busy_ns_.resize(shard_counters.size(), 0);
-  report.shard_loads.reserve(shard_counters.size());
+  last_busy_ns_.resize(rows.size(), 0);
+  report.shard_loads.reserve(rows.size());
   u64 stalls_total = 0;
   u64 busy_max = 0;
   u64 busy_sum = 0;
-  for (std::size_t s = 0; s < shard_counters.size(); ++s) {
-    const Dataplane::ShardCounters& c = shard_counters[s];
+  for (std::size_t s = 0; s < rows.size(); ++s) {
+    const Dataplane::ShardCounters& c = rows[s];
     const u64 busy = cfg_.shard_busy_ns ? cfg_.shard_busy_ns(c) : c.busy_ns;
     const u64 delta = busy - std::min(busy, last_busy_ns_[s]);
     last_busy_ns_[s] = busy;
@@ -125,9 +125,9 @@ Controller::TickReport Controller::TickOnce() {
   }
   // Skew = max/mean of the per-shard busy-time deltas: 1.0 when the work
   // is spread evenly, num_shards when one shard does everything.
-  if (busy_sum != 0 && !shard_counters.empty()) {
+  if (busy_sum != 0 && !rows.empty()) {
     const double mean = static_cast<double>(busy_sum) /
-                        static_cast<double>(shard_counters.size());
+                        static_cast<double>(rows.size());
     report.shard_skew = static_cast<double>(busy_max) / mean;
   }
 
